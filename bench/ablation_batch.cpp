@@ -1,28 +1,26 @@
 // Ablation A10 (DESIGN.md): batched publish in the hybrid structure.
 //
-// PR-1 published by pushing every flushed task into the shard heap —
-// O(log n_pub) per task with the published tier as n_pub.  The batched
-// path extracts the private heap as one ascending run and splices it into
-// the shard as sorted segments (O(log S) per segment, independent of run
-// length and shard size).  cfg.publish_batch caps the segment length and
-// publish_batch <= 1 selects the legacy per-task path, so one knob sweeps
-// the whole axis.
+// A publish extracts the private heap as one ascending run and mails it
+// as sorted segments of at most cfg.publish_batch tasks; the receiving
+// owner folds each segment into its store in O(log S), independent of
+// run length and store size.  publish_batch <= 1 mails one-task runs —
+// one segment per task, which the spill policy soon folds into the
+// owner's cold heap — so one knob sweeps the whole axis.
 //
 // Two panels:
 //   1. publish-side microcosm — one place pushes --churn-ops tasks and
 //      never pops, so the published tier grows large and the flush cost
 //      dominates; then everything is drained to show the pop side pays at
-//      most a modest price for the segment indirection.
+//      most a modest price for the segment indirection.  The inbox
+//      columns show where the mail went: at P = 1 every run is mailed to
+//      self, the ring fills after inbox_slots appends (nothing folds it
+//      until the drain), and later runs take the accounted self-fold
+//      fallback.
 //   2. SSSP end-to-end across the same batch sweep (wasted work must not
 //      move: batching changes publish COST, not relaxation semantics).
 //
-// Ablation A20 (PR 10) rides along in two more panels:
-//   3. mailbox vs shard round trip — the same publish flood, A/B'd
-//      between the mailbox inbox path (cfg.mailbox, the default) and the
-//      legacy spinlocked shard (the "hybrid_shard" arm), with the new
-//      counters (inbox_appends / inbox_folds / inbox_full_fallbacks) and
-//      the zero-shard-lock witness printed per row.
-//   4. inbox flood — every producer mails ONE victim ring (the
+// Ablation A20 rides along in one more panel:
+//   3. inbox flood — every producer mails ONE victim ring (the
 //      adversarial case round-robin dispatch avoids): append latency
 //      distribution and the full-ring fallback count as the ring
 //      capacity sweeps.
@@ -49,21 +47,17 @@ struct FloodResult {
   std::uint64_t inbox_appends = 0;
   std::uint64_t inbox_folds = 0;
   std::uint64_t inbox_full_fallbacks = 0;
-  std::uint64_t shard_locks = 0;
 };
 
 // Publish-flood: push `ops` tasks at relaxation window `k` with no
 // consumer, forcing ops/k publishes into an ever-larger published tier,
-// then drain it all.  `mailbox` selects the A20 arm (inbox rings vs the
-// legacy spinlocked shard).
-FloodResult publish_flood(int batch, int k, std::uint64_t ops,
-                          bool mailbox = true) {
+// then drain it all.
+FloodResult publish_flood(int batch, int k, std::uint64_t ops) {
   using ChurnTask = Task<std::uint64_t, double>;
   StorageConfig cfg;
   cfg.k_max = k;
   cfg.default_k = k;
   cfg.publish_batch = batch;
-  cfg.mailbox = mailbox;
   StatsRegistry stats(1);
   HybridKpq<ChurnTask> q(1, cfg, &stats);
   auto& place = q.place(0);
@@ -88,7 +82,6 @@ FloodResult publish_flood(int batch, int k, std::uint64_t ops,
   r.inbox_appends = total.get(Counter::inbox_appends);
   r.inbox_folds = total.get(Counter::inbox_folds);
   r.inbox_full_fallbacks = total.get(Counter::inbox_full_fallbacks);
-  r.shard_locks = total.get(Counter::shard_locks);
   if (got != ops) {
     std::fprintf(stderr, "lost tasks: pushed %llu popped %llu\n",
                  static_cast<unsigned long long>(ops),
@@ -212,14 +205,18 @@ int main(int argc, char** argv) {
 
   std::printf("## publish flood (1 place, push-only then drain)\n");
   std::printf("batch,push_s,push_mops,pop_s,pop_mops,total_mops,publishes,"
-              "segment_merges\n");
+              "segment_merges,inbox_appends,inbox_folds,"
+              "inbox_full_fallbacks\n");
   for (int batch : batches) {
     const FloodResult r = publish_flood(batch, k, ops);
     const double mops = static_cast<double>(ops) / 1e6;
-    std::printf("%d,%.4f,%.2f,%.4f,%.2f,%.2f,%.0f,%.0f\n", batch, r.push_s,
-                mops / r.push_s, r.pop_s, mops / r.pop_s,
+    std::printf("%d,%.4f,%.2f,%.4f,%.2f,%.2f,%.0f,%.0f,%llu,%llu,%llu\n",
+                batch, r.push_s, mops / r.push_s, r.pop_s, mops / r.pop_s,
                 2 * mops / (r.push_s + r.pop_s), r.publishes,
-                r.segment_merges);
+                r.segment_merges,
+                static_cast<unsigned long long>(r.inbox_appends),
+                static_cast<unsigned long long>(r.inbox_folds),
+                static_cast<unsigned long long>(r.inbox_full_fallbacks));
     std::fflush(stdout);
   }
 
@@ -244,26 +241,6 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  std::printf("\n## A20 mailbox vs shard round trip (1 place flood)\n");
-  std::printf("mode,batch,push_mops,pop_mops,total_mops,publishes,"
-              "inbox_appends,inbox_folds,inbox_full_fallbacks,"
-              "shard_locks\n");
-  for (const bool mailbox : {true, false}) {
-    for (const int batch : {1, 64, 256}) {
-      const FloodResult r = publish_flood(batch, k, ops, mailbox);
-      const double mops = static_cast<double>(ops) / 1e6;
-      std::printf("%s,%d,%.2f,%.2f,%.2f,%.0f,%llu,%llu,%llu,%llu\n",
-                  mailbox ? "mailbox" : "shard", batch, mops / r.push_s,
-                  mops / r.pop_s, 2 * mops / (r.push_s + r.pop_s),
-                  r.publishes,
-                  static_cast<unsigned long long>(r.inbox_appends),
-                  static_cast<unsigned long long>(r.inbox_folds),
-                  static_cast<unsigned long long>(r.inbox_full_fallbacks),
-                  static_cast<unsigned long long>(r.shard_locks));
-      std::fflush(stdout);
-    }
-  }
-
   std::printf("\n## A20 inbox flood (all producers -> one victim ring)\n");
   const std::uint64_t flood_runs = std::max<std::uint64_t>(ops / 256, 1000);
   std::printf("# producers=%llu runs_per_producer=%llu run_len=64\n",
@@ -283,19 +260,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n# expectation: the published-tier round trip (total_mops) "
-              "and SSSP time improve from batch=1 to batch>=64 — per-task "
-              "pushes are cheap to INGEST (random-key heap push is ~O(1) "
-              "amortized) but expensive to DRAIN (O(log n) sift-downs over "
-              "a huge heap array), while sorted segments stream "
+              "and SSSP time improve from batch=1 to batch>=64 — one-task "
+              "runs are cheap to INGEST but spill into the cold heap, "
+              "which is expensive to DRAIN (O(log n) sift-downs over a "
+              "huge heap array), while sorted segments stream "
               "sequentially; SSSP relaxation quality is batch-independent "
               "in expectation (the knob moves publish cost, not semantics "
               "— on a 1-core box the P>1 columns carry scheduling "
               "noise)\n");
-  std::printf("# A20 expectation: mailbox rows show shard_locks=0 "
-              "(acceptance witness) at round-trip throughput >= the "
-              "shard arm's from batch>=64; the inbox flood's append "
-              "latency stays flat as slots grow while fallbacks drop — "
-              "full rings degrade into accounted self-folds, never "
-              "stalls\n");
+  std::printf("# A20 expectation: the inbox flood's append latency stays "
+              "flat as slots grow while fallbacks drop — full rings "
+              "degrade into accounted self-folds, never stalls\n");
   return 0;
 }

@@ -56,9 +56,6 @@ const std::vector<SeamSet> kSeamSets = {
      {"hybrid.publish.attempt", "hybrid.publish.flush",
       "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",
       "hybrid.spill", "runner.pop"}},
-    {"hybrid_shard",
-     {"hybrid.publish.attempt", "hybrid.publish.flush",
-      "hybrid.pop.published", "hybrid.spy", "hybrid.spill", "runner.pop"}},
     {"multiqueue", {"mq.push.lock", "mq.pop.probe", "runner.pop"}},
     {"ws_priority", {"wsprio.steal", "runner.pop"}},
     {"ws_deque", {"wsdeque.steal", "runner.pop"}},

@@ -11,53 +11,40 @@
 //              one read of the cached published minimum.
 //   published— every k-th push (temporal ρ-relaxation) — or once k *live*
 //              private tasks accumulate (structural, §5.3) — the owner
-//              flushes its private heap into its published shard: a
-//              spinlocked heap PLUS a store of pre-sorted segments, with
-//              one cached atomic minimum over both.  A batched publish
-//              (cfg.publish_batch > 1, ablation A10) extracts the private
-//              heap as one ascending run and ingests it as segments of at
-//              most publish_batch tasks — O(log S) per segment against the
-//              segment-head index instead of one O(log n) heap push per
-//              task.  The P shards together form the global tier: any
-//              place may pop from any of them, guided by the cached
-//              minima, so a publish is the only moment a place's tasks
-//              cost coherence traffic — 1/k of pushes.
-//   spying   — a place that finds the whole published tier empty may read
-//              a victim's *private* heap (try_lock, never blocking the
-//              owner's spin loop) and claim its best task.  Without it,
-//              idle places would stall until the next publish
+//              flushes its private heap as one ascending run, splits it
+//              into pre-sorted segments of at most publish_batch tasks
+//              (ablation A10) and MAILS each one to a peer's bounded MPSC
+//              inbox ring (support/mpsc_ring.hpp; round-robin, self at
+//              P = 1); an inbox entry IS a segment.  Each owner folds its
+//              pending inbox entries into its own segment store at pop
+//              time, flat-combining style — O(log S) per segment against
+//              the segment-head index — so only the owner ever mutates
+//              its structures, and does so cache-hot.  A full inbox never
+//              blocks: the publisher keeps the run and self-folds it
+//              (counter inbox_full_fallbacks).  A publish is the only
+//              moment a place's tasks cost coherence traffic — 1/k of
+//              pushes.
+//   spying   — the one cross-place pull.  A place whose own store is empty,
+//              or beaten by a foreign advert, may try_lock a victim's
+//              private lock (never blocking the owner's spin loop) and
+//              claim the best task of the victim's whole owner-folded
+//              store (private heap, segment heads, cold heap).  Without
+//              it, idle places would stall until the next publish
 //              (ablation A2 measures exactly this).
 //
-// Mailbox publish (PR 10, cfg.mailbox — the default): the spinlocked
-// shared-shard published tier above is replaced by per-place bounded
-// MPSC inbox rings (support/mpsc_ring.hpp).  A publish splits the
-// flushed run into pre-sorted segments of at most publish_batch tasks
-// and MAILS each one to a peer's inbox (round-robin, self at P = 1); an
-// inbox entry IS a segment.  The owner folds all pending inbox entries
-// into its own segment store at pop time, flat-combining style, so only
-// the owner ever mutates its structures — and does so cache-hot.  A
-// full inbox never blocks: the publisher keeps the run and self-folds
-// it (counter inbox_full_fallbacks).  Cross-place pulls go through the
-// existing spy tier, which in mailbox mode claims from the victim's
-// whole owner-folded store (heap, segment heads, cold heap) under the
-// victim's private lock — no place ever acquires another's shard
-// spinlock; in fact no mailbox-mode path touches pub_lock at all
-// (witness counter: shard_locks stays 0).  The legacy tier remains
-// selectable (cfg.mailbox = false, or registry name "hybrid_shard")
-// as the A/B arm for ablation A20.
-//
 // Lifecycle (PR 7): every container of every tier holds LcEntry, so a
-// task's control block rides along through publish flushes, segment
-// ingests, spills, and spies — a handle issued at push time stays
-// redeemable wherever the task has migrated.  Tombstones are reaped at
-// whichever claim point surfaces them (private pop, published heap or
-// segment head, spy), with a segment-head tombstone advancing the head
-// exactly like a consumed task.
+// task's control block rides along through publish flushes, mail, folds,
+// spills, and spies — a handle issued at push time stays redeemable
+// wherever the task has migrated.  Tombstones are reaped at whichever
+// claim point surfaces them (own pop, spy), with a segment-head
+// tombstone advancing the head exactly like a consumed task.
 //
 // Relaxation guarantee: at most k tasks per place are unpublished at any
-// time, so a pop bypasses at most ρ = P·k better tasks (ablation A1).
-// Pops compare the own-private best against the published minima before
-// executing local work, keeping the realized rank error far below ρ.
+// time, and a mailed-but-unfolded segment is already advertised through
+// its target's inbox minimum, so a pop bypasses at most ρ = P·k better
+// tasks (ablation A1).  Pops compare the own best against the advertised
+// minima before executing local work, keeping the realized rank error
+// far below ρ.
 #pragma once
 
 #include <algorithm>
@@ -89,10 +76,10 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
-  /// One pre-sorted run inside a published shard; `head` indexes the best
-  /// not-yet-consumed task.  Exhausted segments park their slot on a free
-  /// list and their vector on a pool, so steady-state publishes allocate
-  /// nothing.
+  /// One pre-sorted run inside a place's owner-folded store; `head`
+  /// indexes the best not-yet-consumed task.  Exhausted segments park
+  /// their slot on a free list and their vector on a pool, so
+  /// steady-state publishes allocate nothing.
   struct Segment {
     std::vector<Entry> run;
     std::size_t head = 0;
@@ -100,8 +87,8 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
 
   /// Segment-head index entry: the priority of segment `seg`'s current
   /// head.  Maintained exactly (one live entry per live segment, updated
-  /// under pub_lock whenever a head advances), so its top IS the best
-  /// segment task of the shard.
+  /// under private_lock whenever a head advances), so its top IS the
+  /// best segment task of the store.
   struct SegHead {
     double priority;
     std::uint32_t seg;
@@ -119,97 +106,68 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     Xoshiro256 rng;
 
     // Private tier.  The lock is the owner's own cache line; spies only
-    // try_lock it when the published tier is drained.
+    // try_lock it when their own store cannot serve the pop.
     Spinlock private_lock;
     DaryHeap<Entry, detail::LcEntryLess, 4> private_heap
         KPS_GUARDED_BY(private_lock);
     std::uint64_t pushes_since_publish KPS_GUARDED_BY(private_lock) = 0;
     std::atomic<double> private_min{kEmptyMin};
 
-    // Published tier (this place's shard of the global list): a heap for
-    // singleton publishes (k = 0 / publish_batch <= 1) plus the sorted
-    // segment store, everything below guarded by pub_lock.
-    Spinlock pub_lock;
-    DaryHeap<Entry, detail::LcEntryLess, 4> pub_heap KPS_GUARDED_BY(pub_lock);
-    // slot-addressed
-    std::vector<Segment> segments KPS_GUARDED_BY(pub_lock);
-    // recycled slots
-    std::vector<std::uint32_t> segment_free KPS_GUARDED_BY(pub_lock);
-    DaryHeap<SegHead, SegHeadLess, 4> seg_index KPS_GUARDED_BY(pub_lock);
-    // recycled run capacity
-    std::vector<std::vector<Entry>> run_pool KPS_GUARDED_BY(pub_lock);
-    std::atomic<double> pub_min{kEmptyMin};
-
     // Owner-only publish buffer: filled by the owner under private_lock,
-    // drained by the same thread under pub_lock.  No single capability
+    // mailed out by the same thread after it drops.  No single capability
     // covers it — the owner thread is the ownership argument, so it stays
     // unguarded on purpose.
     std::vector<Entry> flush_buf;
-    // Spill scratch: touched only inside maybe_spill_segments (pub_lock).
-    std::vector<SegHead> spill_buf KPS_GUARDED_BY(pub_lock);
 
-    // ---- Mailbox tier (cfg.mailbox; unused in legacy mode) ----------
     // The owner's bounded MPSC inbox: peers commit pre-sorted runs, the
     // owner folds them at pop time.  The ring is its own synchronization
     // (reserve/commit protocol), so it needs no capability.
     MpscRing<std::vector<Entry>> inbox;
     // Advisory minimum over unfolded inbox entries: CAS-min'd by
-    // appenders, reset by the owner's fold.  A hint, like pub_min — a
+    // appenders, reset by the owner's fold.  A hint, like private_min — a
     // stale value misroutes a redirect, never loses a task.
     std::atomic<double> inbox_min{kEmptyMin};
     // Owner-only round-robin cursor for publish targets (same ownership
     // argument as flush_buf).
     std::uint64_t publish_cursor = 0;
     // Owner-only staging of recycled run capacity for dispatch_runs:
-    // topped up from mb_run_pool while the publish still holds
-    // private_lock, drawn after it drops (same ownership argument as
-    // flush_buf).  Closes the buffer cycle mail → fold → claim →
-    // recycle → next mail, so a steady-state publish allocates nothing.
+    // topped up from run_pool while the publish still holds private_lock,
+    // drawn after it drops (same ownership argument as flush_buf).
+    // Closes the buffer cycle mail → fold → claim → recycle → next mail,
+    // so a steady-state publish allocates nothing.
     std::vector<std::vector<Entry>> mail_pool;
     // Owner-folded store: segments from folded inbox entries plus a cold
-    // heap fed by the mailbox spill policy.  Everything below is mutated
-    // only under private_lock (by the owner on fold/claim, by a spy that
-    // won the try_lock), so the private tier's capability covers it.
-    std::vector<Segment> mb_segments KPS_GUARDED_BY(private_lock);
-    std::vector<std::uint32_t> mb_segment_free KPS_GUARDED_BY(private_lock);
-    DaryHeap<SegHead, SegHeadLess, 4> mb_seg_index
+    // heap fed by the spill policy.  Everything below is mutated only
+    // under private_lock (by the owner on fold/claim, by a spy that won
+    // the try_lock), so the private tier's capability covers it.
+    std::vector<Segment> segments KPS_GUARDED_BY(private_lock);
+    std::vector<std::uint32_t> segment_free KPS_GUARDED_BY(private_lock);
+    DaryHeap<SegHead, SegHeadLess, 4> seg_index KPS_GUARDED_BY(private_lock);
+    std::vector<std::vector<Entry>> run_pool KPS_GUARDED_BY(private_lock);
+    DaryHeap<Entry, detail::LcEntryLess, 4> cold_heap
         KPS_GUARDED_BY(private_lock);
-    std::vector<std::vector<Entry>> mb_run_pool KPS_GUARDED_BY(private_lock);
-    DaryHeap<Entry, detail::LcEntryLess, 4> mb_cold_heap
-        KPS_GUARDED_BY(private_lock);
-    std::vector<SegHead> mb_spill_buf KPS_GUARDED_BY(private_lock);
-    // Mirrors cfg.mailbox so Place-local helpers need no config pointer.
-    bool mailbox = false;
+    // Spill scratch: touched only inside maybe_spill_segments.
+    std::vector<SegHead> spill_buf KPS_GUARDED_BY(private_lock);
 
-    void publish_private_min() KPS_REQUIRES(private_lock) {
+    /// Best task anywhere in the owner-folded store (private heap,
+    /// segment heads, cold heap); kEmptyMin when all three are empty.
+    double store_min() const KPS_REQUIRES(private_lock) {
       double m = private_heap.empty()
                      ? kEmptyMin
                      : static_cast<double>(private_heap.top().task.priority);
-      if (mailbox) {
-        // The advertised "private" minimum of a mailbox place covers its
-        // whole owner-folded store: spies can claim from any of it.
-        if (!mb_seg_index.empty() && mb_seg_index.top().priority < m) {
-          m = mb_seg_index.top().priority;
-        }
-        if (!mb_cold_heap.empty() &&
-            static_cast<double>(mb_cold_heap.top().task.priority) < m) {
-          m = static_cast<double>(mb_cold_heap.top().task.priority);
-        }
-      }
-      private_min.store(m, std::memory_order_release);
-    }
-    /// Best task anywhere in this shard (heap or a segment head).
-    double shard_min() const KPS_REQUIRES(pub_lock) {
-      double m = pub_heap.empty()
-                     ? kEmptyMin
-                     : static_cast<double>(pub_heap.top().task.priority);
       if (!seg_index.empty() && seg_index.top().priority < m) {
         m = seg_index.top().priority;
       }
+      if (!cold_heap.empty() &&
+          static_cast<double>(cold_heap.top().task.priority) < m) {
+        m = static_cast<double>(cold_heap.top().task.priority);
+      }
       return m;
     }
-    void publish_pub_min() KPS_REQUIRES(pub_lock) {
-      pub_min.store(shard_min(), std::memory_order_release);
+    /// The advertised "private" minimum covers the whole owner-folded
+    /// store: spies can claim from any of it.
+    void publish_private_min() KPS_REQUIRES(private_lock) {
+      private_min.store(store_min(), std::memory_order_release);
     }
   };
 
@@ -217,11 +175,8 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       : cfg_(cfg), places_(places ? places : 1) {
     stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
     detail::init_places(places_, cfg_, stats);
-    if (cfg_.mailbox) {
-      for (Place& p : places_) {
-        p.mailbox = true;
-        p.inbox.init(static_cast<std::size_t>(cfg_.inbox_slots));
-      }
+    for (Place& p : places_) {
+      p.inbox.init(static_cast<std::size_t>(cfg_.inbox_slots));
     }
     gate_.init(cfg_);
     this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
@@ -232,10 +187,12 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   Place& place(std::size_t i) { return places_[i]; }
   const StorageConfig& config() const { return cfg_; }
 
-  /// Capacity-aware push.  Shed tier: the pusher's own tiers — private
-  /// heap first (the hot set it owns the lock for), else its own
-  /// published shard heap.  Foreign shards are never touched, so a shed
-  /// costs no cross-place coherence traffic.
+  /// Capacity-aware push.  Shed tier: the pusher's own private heap only
+  /// (the hot set it owns the lock for).  Folded segments are published
+  /// work in flight — ranking their tails would cost an O(S) scan for a
+  /// path whose contract is "cheaply reachable worst" — so an empty
+  /// private heap sheds the incoming task.  Foreign places are never
+  /// touched, so a shed costs no cross-place coherence traffic.
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
     PushOutcome<TaskT> out;
     if (gate_.at_capacity()) {
@@ -243,34 +200,13 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
         return detail::reject_incoming<TaskT>(p);
       }
       p.private_lock.lock();
-      if (!p.private_heap.empty()) {
-        if (detail::displace_worst(p.private_heap, task, this->ledger_, p,
-                                   &out)) {
-          p.publish_private_min();
-          p.private_lock.unlock();
-          return out;
-        }
+      if (detail::displace_worst(p.private_heap, task, this->ledger_, p,
+                                 &out)) {
+        p.publish_private_min();
         p.private_lock.unlock();
-      } else if (cfg_.mailbox) {
-        // Mailbox shed tier stays strictly place-local: the private heap
-        // only.  Folded segments are published work in flight — ranking
-        // their tails would cost an O(S) scan for a path whose contract
-        // is "cheaply reachable worst" — so an empty private heap sheds
-        // the incoming task.
-        p.private_lock.unlock();
-      } else {
-        p.private_lock.unlock();
-        p.pub_lock.lock();
-        p.counters->inc(Counter::shard_locks);
-        if (detail::displace_worst(p.pub_heap, task, this->ledger_, p,
-                                   &out)) {
-          p.publish_pub_min();
-          p.pub_lock.unlock();
-          refresh_global_pub_min();
-          return out;
-        }
-        p.pub_lock.unlock();
+        return out;
       }
+      p.private_lock.unlock();
       return detail::shed_incoming(p, std::move(task));
     }
 
@@ -279,105 +215,19 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
  private:
+  /// Accepted push: private heap as usual; at the publish threshold (or
+  /// immediately at k <= 0) the private heap is flushed as one ascending
+  /// run and mailed out in publish_batch-sized segments.
   void push_accepted(Place& p, int k, TaskT task, TaskHandle* handle) {
     p.counters->inc(Counter::tasks_spawned);
     detail::trace_ev(p, TraceEv::push);
     gate_.add(1);
-    if (cfg_.mailbox) {
-      push_accepted_mailbox(p, k, std::move(task), handle);
-      return;
-    }
-    if (k <= 0) {
-      // k = 0: no relaxation budget — every push is its own publish.
-      p.pub_lock.lock();
-      p.counters->inc(Counter::shard_locks);
-      p.pub_heap.push(this->ledger_.wrap(std::move(task), handle));
-      p.publish_pub_min();
-      p.pub_lock.unlock();
-      refresh_global_pub_min();
-      p.counters->inc(Counter::publishes);
-      p.counters->inc(Counter::published_items);
-      detail::trace_ev(p, TraceEv::publish, 1);
-      return;
-    }
-
     p.private_lock.lock();
     p.private_heap.push(this->ledger_.wrap(std::move(task), handle));
     ++p.pushes_since_publish;
     // An injected attempt failure defers the publish without resetting
     // the push counter, so the next push retries — temporal relaxation
     // stretches (more unpublished tasks) but no task is lost.
-    const bool publish =
-        (cfg_.structural_relaxation
-             ? p.private_heap.size() >= static_cast<std::size_t>(k)
-             : p.pushes_since_publish >= static_cast<std::uint64_t>(k)) &&
-        !KPS_FAILPOINT_FAIL("hybrid.publish.attempt");
-    if (!publish) {
-      p.publish_private_min();
-      p.private_lock.unlock();
-      return;
-    }
-
-    // Publish: flush the private heap into this place's published shard.
-    // Batched mode extracts one ascending run (sequential drain + sort)
-    // and hands the shard sorted segments; the legacy per-task mode pays
-    // one O(log n) heap push per flushed task.
-    const bool batched = cfg_.publish_batch > 1;
-    p.flush_buf.clear();
-    if (batched) {
-      p.private_heap.extract_sorted_segment(p.flush_buf);
-    } else {
-      p.private_heap.drain_unordered(p.flush_buf);
-    }
-    p.pushes_since_publish = 0;
-    p.publish_private_min();
-    p.private_lock.unlock();
-
-    // Seam: between the private flush and the shard ingest the flushed
-    // tasks live only in flush_buf — invisible to every other place.  A
-    // stall here is the "publisher preempted mid-publish" scenario; the
-    // conservation harness proves the tasks reappear after release.
-    KPS_FAILPOINT("hybrid.publish.flush");
-
-    const std::size_t flushed = p.flush_buf.size();
-    p.pub_lock.lock();
-    p.counters->inc(Counter::shard_locks);
-    if (batched) {
-      const auto batch = static_cast<std::size_t>(cfg_.publish_batch);
-      if (flushed <= batch) {
-        // Whole run fits one segment: swap the flush buffer in, no copy.
-        ingest_sorted_run_swap(p, p.flush_buf);
-        p.counters->inc(Counter::segment_merges);
-      } else {
-        for (std::size_t off = 0; off < flushed; off += batch) {
-          ingest_sorted_run(p, p.flush_buf.data() + off,
-                            std::min(batch, flushed - off));
-          p.counters->inc(Counter::segment_merges);
-        }
-      }
-    } else {
-      for (Entry& e : p.flush_buf) p.pub_heap.push(std::move(e));
-    }
-    maybe_spill_segments(p);
-    p.publish_pub_min();
-    p.pub_lock.unlock();
-    refresh_global_pub_min();
-    p.counters->inc(Counter::publishes);
-    p.counters->inc(Counter::published_items, flushed);
-    detail::trace_ev(p, TraceEv::publish,
-                     static_cast<std::uint32_t>(flushed));
-  }
-
-  /// Mailbox-mode accepted push: private heap as usual; at the publish
-  /// threshold (or immediately at k <= 0) the private heap is flushed as
-  /// one ascending run and mailed out in publish_batch-sized segments.
-  void push_accepted_mailbox(Place& p, int k, TaskT task,
-                             TaskHandle* handle) {
-    p.private_lock.lock();
-    p.private_heap.push(this->ledger_.wrap(std::move(task), handle));
-    ++p.pushes_since_publish;
-    // Same deferral semantics as the legacy path: an injected attempt
-    // failure postpones the publish without resetting the counter.
     const bool publish =
         (k <= 0 ||
          (cfg_.structural_relaxation
@@ -396,15 +246,17 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     p.publish_private_min();
     const auto batch = static_cast<std::size_t>(
         cfg_.publish_batch > 1 ? cfg_.publish_batch : 1);
-    mb_stage_mail_buffers(p, (p.flush_buf.size() + batch - 1) / batch);
+    stage_mail_buffers(p, (p.flush_buf.size() + batch - 1) / batch);
     p.private_lock.unlock();
 
-    // Same seam as the legacy flush: between here and the inbox commits
-    // the flushed tasks live only in flush_buf.
+    // Seam: between the private flush and the inbox commits the flushed
+    // tasks live only in flush_buf — invisible to every other place.  A
+    // stall here is the "publisher preempted mid-publish" scenario; the
+    // conservation harness proves the tasks reappear after release.
     KPS_FAILPOINT("hybrid.publish.flush");
 
     const std::size_t flushed = p.flush_buf.size();
-    dispatch_runs(p);
+    dispatch_runs(p, batch);
     p.counters->inc(Counter::publishes);
     p.counters->inc(Counter::published_items, flushed);
     detail::trace_ev(p, TraceEv::publish,
@@ -414,9 +266,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// Split the ascending flush into segments of at most publish_batch
   /// tasks and mail each one; successive segments rotate over targets so
   /// one large flush spreads instead of flooding a single peer.
-  void dispatch_runs(Place& p) {
-    const auto batch = static_cast<std::size_t>(
-        cfg_.publish_batch > 1 ? cfg_.publish_batch : 1);
+  void dispatch_runs(Place& p, std::size_t batch) {
     const std::size_t flushed = p.flush_buf.size();
     for (std::size_t off = 0; off < flushed; off += batch) {
       const std::size_t n = std::min(batch, flushed - off);
@@ -480,12 +330,10 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     detail::trace_ev(p, TraceEv::inbox_full,
                      static_cast<std::uint64_t>(target.index));
     p.private_lock.lock();
-    mb_ingest_sorted_run_swap(p, run);
+    ingest_run(p, std::move(run));
     p.counters->inc(Counter::segment_merges);
-    mb_maybe_spill_segments(p);
+    maybe_spill_segments(p);
     p.publish_private_min();
-    // The swap left the replaced segment's old capacity in `run`.
-    mb_recycle_run(p, std::move(run));
     p.private_lock.unlock();
     refresh_global_pub_min();
   }
@@ -510,20 +358,13 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     // Seam: stretch the fold critical section (private_lock held) so
     // racing spies pile up on the owner during the fold.
     KPS_FAILPOINT("hybrid.inbox.fold");
-    while (folded < limit) {
-      if (run.capacity() != 0) {
-        // Swapped-out segment capacity from the previous lap; bank it
-        // before try_pop's move-assign would free it.
-        mb_recycle_run(p, std::move(run));
-        run = std::vector<Entry>();
-      }
-      if (!p.inbox.try_pop(run)) break;
-      mb_ingest_sorted_run_swap(p, run);
+    while (folded < limit && p.inbox.try_pop(run)) {
+      ingest_run(p, std::move(run));
       p.counters->inc(Counter::segment_merges);
       ++folded;
     }
     if (folded > 0) {
-      mb_maybe_spill_segments(p);
+      maybe_spill_segments(p);
       p.publish_private_min();
     }
     p.private_lock.unlock();
@@ -536,392 +377,22 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   }
 
  public:
+  /// Pop: fold the inbox, claim the own best bounded by the advertised
+  /// foreign best (spy redirect), fall back to draining own work when
+  /// the redirect races away.
   std::optional<TaskT> pop(Place& p) {
-    if (cfg_.mailbox) return pop_mailbox(p);
-    // Fast path: own private best, unless the published tier visibly holds
-    // something better (the check keeps realized rank error small).  One
-    // acquire load of the cached global minimum — the O(P) shard sweep
-    // happens only on published-tier mutations, never here.  Tombstones
-    // surfacing at the top are reaped in place, re-exposing the next best
-    // to the same redirect check.
-    bool saw_tasks = false;
-    p.private_lock.lock();
-    while (!p.private_heap.empty()) {
-      const double mine =
-          static_cast<double>(p.private_heap.top().task.priority);
-      if (global_pub_min_.load(std::memory_order_acquire) < mine) break;
-      Entry e = p.private_heap.pop();
-      p.publish_private_min();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        p.private_lock.unlock();
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return std::move(e.task);
-      }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
-    const bool had_private = !p.private_heap.empty();
-    p.private_lock.unlock();
-
-    // Published tier: best shard first, by cached minima.
-    for (std::size_t attempt = 0; attempt < places_.size() + 1; ++attempt) {
-      const std::size_t victim = best_published_place();
-      if (victim == kNone) break;
-      saw_tasks = true;
-      if (auto out = try_pop_published(places_[victim], p)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
-      }
-    }
-
-    // The published world is empty; fall back to our own private tasks
-    // (they exist if the tier check above redirected us here on a race).
-    if (had_private) {
-      saw_tasks = true;
-      p.private_lock.lock();
-      while (!p.private_heap.empty()) {
-        Entry e = p.private_heap.pop();
-        p.publish_private_min();
-        if (this->ledger_.claim_popped(e, p.index)) {
-          p.private_lock.unlock();
-          gate_.add(-1);
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return std::move(e.task);
-        }
-        p.counters->inc(Counter::tombstones_reaped);
-        gate_.add(-1);
-      }
-      p.private_lock.unlock();
-    }
-
-    // Spy: claim the best task still private to another place.
-    if (cfg_.enable_spying) {
-      if (auto out = spy(p, saw_tasks)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
-      }
-    }
-
-    // Classification: "contended" if any tier advertised tasks this place
-    // failed to claim (lost try_locks, raced-away shards, tombstone-only
-    // sweeps); "empty" if every tier looked drained.
-    p.counters->inc(saw_tasks ? Counter::pop_contended : Counter::pop_empty);
-    return std::nullopt;
-  }
-
- private:
-  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  /// Re-sweep the shard minima into the cached global minimum.  Called
-  /// after every published-tier mutation (publish flush, published pop) —
-  /// the cold 1/k of operations — so the owner fast path stays O(1).
-  /// The cache is a hint: a stale value momentarily misroutes a pop
-  /// (slightly higher realized rank error or one detour through the
-  /// published tier), never loses a task.
-  void refresh_global_pub_min() {
-    double best = kEmptyMin;
-    if (cfg_.mailbox) {
-      // Mailbox mode: the "published tier" is the union of advertised
-      // owner-folded stores and unfolded inbox entries.
-      for (const Place& q : places_) {
-        const double pm = q.private_min.load(std::memory_order_acquire);
-        if (pm < best) best = pm;
-        const double im = q.inbox_min.load(std::memory_order_acquire);
-        if (im < best) best = im;
-      }
-    } else {
-      for (const Place& q : places_) {
-        const double m = q.pub_min.load(std::memory_order_acquire);
-        if (m < best) best = m;
-      }
-    }
-    global_pub_min_.store(best, std::memory_order_release);
-  }
-
-  /// Best live advert of any place OTHER than `p`: the mailbox redirect
-  /// verification (the shared cache can be stale from p's own claims, so
-  /// a redirect is only taken against a live foreign reading).
-  double best_foreign_advert(const Place& p) const {
-    double best = kEmptyMin;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
-      if (i == p.index) continue;
-      const double pm = places_[i].private_min.load(std::memory_order_acquire);
-      if (pm < best) best = pm;
-      const double im = places_[i].inbox_min.load(std::memory_order_acquire);
-      if (im < best) best = im;
-    }
-    return best;
-  }
-
-  std::size_t best_published_place() const {
-    double best = kEmptyMin;
-    std::size_t idx = kNone;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
-      const double m = places_[i].pub_min.load(std::memory_order_acquire);
-      if (m < best) {
-        best = m;
-        idx = i;
-      }
-    }
-    return idx;
-  }
-
-  /// Take a segment slot off the free list (or grow the slot array).
-  std::uint32_t acquire_segment(Place& shard) KPS_REQUIRES(shard.pub_lock) {
-    if (!shard.segment_free.empty()) {
-      const std::uint32_t slot = shard.segment_free.back();
-      shard.segment_free.pop_back();
-      return slot;
-    }
-    shard.segments.emplace_back();
-    return static_cast<std::uint32_t>(shard.segments.size() - 1);
-  }
-
-  /// Register a freshly filled segment with the head index.
-  void commit_segment(Place& shard, std::uint32_t slot)
-      KPS_REQUIRES(shard.pub_lock) {
-    Segment& s = shard.segments[slot];
-    s.head = 0;
-    shard.seg_index.push(
-        {static_cast<double>(s.run.front().task.priority), slot});
-  }
-
-  /// Segment-merge entry point: splice a pre-sorted ascending run into
-  /// `shard`'s published tier as one segment — O(log S) against the
-  /// segment-head index, independent of the run length and of the shard
-  /// heap's size.  Caller refreshes the minima.
-  void ingest_sorted_run(Place& shard, Entry* first, std::size_t count)
-      KPS_REQUIRES(shard.pub_lock) {
-    const std::uint32_t slot = acquire_segment(shard);
-    Segment& s = shard.segments[slot];
-    if (s.run.capacity() == 0 && !shard.run_pool.empty()) {
-      s.run = std::move(shard.run_pool.back());
-      shard.run_pool.pop_back();
-    }
-    s.run.assign(std::make_move_iterator(first),
-                 std::make_move_iterator(first + count));
-    commit_segment(shard, slot);
-  }
-
-  /// Copy-free variant for a run that fits one segment: swap the owner's
-  /// flush buffer with the segment's vector, leaving recycled capacity
-  /// behind for the next flush.
-  void ingest_sorted_run_swap(Place& shard, std::vector<Entry>& run_buf)
-      KPS_REQUIRES(shard.pub_lock) {
-    const std::uint32_t slot = acquire_segment(shard);
-    Segment& s = shard.segments[slot];
-    s.run.clear();
-    std::swap(s.run, run_buf);
-    if (run_buf.capacity() == 0 && !shard.run_pool.empty()) {
-      run_buf = std::move(shard.run_pool.back());
-      shard.run_pool.pop_back();
-    }
-    commit_segment(shard, slot);
-  }
-
-  /// Segment-spill policy (ROADMAP item; counter: segment_spills): very
-  /// small k floods a shard with short runs faster than pops retire
-  /// them, and every live segment adds a seg_index entry that publishes
-  /// and pops must sift past.  Once the live-segment count exceeds
-  /// cfg_.max_segments, keep only the hottest half (smallest head
-  /// priorities) as streaming segments and fold every colder segment's
-  /// remaining tasks into the shard heap, recycling its slot and run
-  /// capacity.  Tasks only move between containers of the same shard
-  /// under pub_lock, so relaxation bounds and the shard minimum are
-  /// untouched.  Caller refreshes the minima.
-  void maybe_spill_segments(Place& shard) KPS_REQUIRES(shard.pub_lock) {
-    if (cfg_.max_segments <= 0) return;
-    const auto limit = static_cast<std::size_t>(cfg_.max_segments);
-    if (shard.seg_index.size() <= limit) return;
-    // Seam: stretch the spill critical section (pub_lock held) so racing
-    // pops pile up on the shard during the fold.
-    KPS_FAILPOINT("hybrid.spill");
-    auto& heads = shard.spill_buf;
-    heads.clear();
-    while (!shard.seg_index.empty()) {
-      heads.push_back(shard.seg_index.pop());  // ascending head priority
-    }
-    const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
-    for (std::size_t i = 0; i < keep; ++i) shard.seg_index.push(heads[i]);
-    for (std::size_t i = keep; i < heads.size(); ++i) {
-      Segment& s = shard.segments[heads[i].seg];
-      for (std::size_t j = s.head; j < s.run.size(); ++j) {
-        shard.pub_heap.push(std::move(s.run[j]));
-      }
-      s.run.clear();
-      shard.run_pool.push_back(std::move(s.run));
-      s.run = std::vector<Entry>();
-      s.head = 0;
-      shard.segment_free.push_back(heads[i].seg);
-    }
-    shard.counters->inc(Counter::segment_spills);
-  }
-
-  // ----------------------------------------------------------------
-  // Mailbox-mode owner-folded store.  Deliberate mirrors of the shard
-  // helpers above, but guarded by private_lock: a single field cannot
-  // carry two capabilities, and the whole point of the mailbox tier is
-  // that these structures live under the owner's own lock.
-
-  /// Return a run buffer's capacity to the owner's pool.  Retention is
-  /// capped at one ring's worth: inflow is unbounded for a place that
-  /// receives more mail than it sends (the flood victim), and beyond the
-  /// ring capacity a publish burst can never draw more anyway.
-  void mb_recycle_run(Place& p, std::vector<Entry>&& run)
-      KPS_REQUIRES(p.private_lock) {
-    if (p.mb_run_pool.size() < p.inbox.capacity()) {
-      run.clear();
-      p.mb_run_pool.push_back(std::move(run));
-    }
-  }
-
-  /// Top up the owner's mail_pool to `chunks` staged buffers from
-  /// mb_run_pool.  Called with private_lock already held on the publish
-  /// path; dispatch_runs then draws lock-free (mail_pool is owner-only).
-  void mb_stage_mail_buffers(Place& p, std::size_t chunks)
-      KPS_REQUIRES(p.private_lock) {
-    while (p.mail_pool.size() < chunks && !p.mb_run_pool.empty()) {
-      p.mail_pool.push_back(std::move(p.mb_run_pool.back()));
-      p.mb_run_pool.pop_back();
-    }
-  }
-
-  std::uint32_t mb_acquire_segment(Place& p) KPS_REQUIRES(p.private_lock) {
-    if (!p.mb_segment_free.empty()) {
-      const std::uint32_t slot = p.mb_segment_free.back();
-      p.mb_segment_free.pop_back();
-      return slot;
-    }
-    p.mb_segments.emplace_back();
-    return static_cast<std::uint32_t>(p.mb_segments.size() - 1);
-  }
-
-  void mb_commit_segment(Place& p, std::uint32_t slot)
-      KPS_REQUIRES(p.private_lock) {
-    Segment& s = p.mb_segments[slot];
-    s.head = 0;
-    p.mb_seg_index.push(
-        {static_cast<double>(s.run.front().task.priority), slot});
-  }
-
-  /// Fold one mailed run into the owner's segment store — the vector is
-  /// swapped in whole (an inbox entry IS a segment), O(log S) against
-  /// the head index.
-  void mb_ingest_sorted_run_swap(Place& p, std::vector<Entry>& run_buf)
-      KPS_REQUIRES(p.private_lock) {
-    const std::uint32_t slot = mb_acquire_segment(p);
-    Segment& s = p.mb_segments[slot];
-    s.run.clear();
-    std::swap(s.run, run_buf);
-    mb_commit_segment(p, slot);
-  }
-
-  /// Mailbox spill policy: same trigger and keep-the-hot-half shape as
-  /// the shard spill, but the cold tasks fold into the owner's COLD heap
-  /// — never back into the private heap, which is the republish source
-  /// (cold tasks must not ping-pong through the mail forever).
-  void mb_maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
-    if (cfg_.max_segments <= 0) return;
-    const auto limit = static_cast<std::size_t>(cfg_.max_segments);
-    if (p.mb_seg_index.size() <= limit) return;
-    // Seam shared with the shard spill: stretch the critical section
-    // (private_lock held) so racing spies pile up during the fold.
-    KPS_FAILPOINT("hybrid.spill");
-    auto& heads = p.mb_spill_buf;
-    heads.clear();
-    while (!p.mb_seg_index.empty()) {
-      heads.push_back(p.mb_seg_index.pop());  // ascending head priority
-    }
-    const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
-    for (std::size_t i = 0; i < keep; ++i) p.mb_seg_index.push(heads[i]);
-    for (std::size_t i = keep; i < heads.size(); ++i) {
-      Segment& s = p.mb_segments[heads[i].seg];
-      for (std::size_t j = s.head; j < s.run.size(); ++j) {
-        p.mb_cold_heap.push(std::move(s.run[j]));
-      }
-      mb_recycle_run(p, std::move(s.run));
-      s.run = std::vector<Entry>();
-      s.head = 0;
-      p.mb_segment_free.push_back(heads[i].seg);
-    }
-    p.counters->inc(Counter::segment_spills);
-  }
-
-  /// Best task anywhere in the owner-folded store (private heap, segment
-  /// heads, cold heap); kEmptyMin when all three are empty.
-  double mb_best(const Place& p) const KPS_REQUIRES(p.private_lock) {
-    double m = p.private_heap.empty()
-                   ? kEmptyMin
-                   : static_cast<double>(p.private_heap.top().task.priority);
-    if (!p.mb_seg_index.empty() && p.mb_seg_index.top().priority < m) {
-      m = p.mb_seg_index.top().priority;
-    }
-    if (!p.mb_cold_heap.empty() &&
-        static_cast<double>(p.mb_cold_heap.top().task.priority) < m) {
-      m = static_cast<double>(p.mb_cold_heap.top().task.priority);
-    }
-    return m;
-  }
-
-  /// Extract the best entry of the owner-folded store (precondition: the
-  /// store is non-empty).  A consumed segment head advances exactly like
-  /// the shard path's; an exhausted segment recycles slot and capacity.
-  Entry mb_claim_best(Place& p) KPS_REQUIRES(p.private_lock) {
-    const double hm =
-        p.private_heap.empty()
-            ? kEmptyMin
-            : static_cast<double>(p.private_heap.top().task.priority);
-    const double sm =
-        p.mb_seg_index.empty() ? kEmptyMin : p.mb_seg_index.top().priority;
-    const double cm =
-        p.mb_cold_heap.empty()
-            ? kEmptyMin
-            : static_cast<double>(p.mb_cold_heap.top().task.priority);
-    if (sm <= hm && sm <= cm) {
-      const SegHead h = p.mb_seg_index.pop();
-      Segment& s = p.mb_segments[h.seg];
-      Entry e = std::move(s.run[s.head]);
-      ++s.head;
-      if (s.head < s.run.size()) {
-        p.mb_seg_index.push(
-            {static_cast<double>(s.run[s.head].task.priority), h.seg});
-      } else {
-        mb_recycle_run(p, std::move(s.run));
-        s.run = std::vector<Entry>();
-        s.head = 0;
-        p.mb_segment_free.push_back(h.seg);
-      }
-      return e;
-    }
-    if (hm <= cm) return p.private_heap.pop();
-    return p.mb_cold_heap.pop();
-  }
-
-  /// Mailbox-mode pop: fold the inbox, claim the own best bounded by the
-  /// advertised foreign best (spy redirect), fall back to draining own
-  /// work when the redirect races away.  No pub_lock anywhere.
-  std::optional<TaskT> pop_mailbox(Place& p) {
     fold_inbox(p);
-    bool saw_tasks = false;
     bool redirected = false;
     p.private_lock.lock();
     for (;;) {
-      const double mine = mb_best(p);
+      const double mine = p.store_min();
       if (mine == kEmptyMin) break;
       if (global_pub_min_.load(std::memory_order_acquire) < mine) {
         // The hint claims a better advert somewhere.  Verify against the
         // live foreign adverts — our own claims make the shared cache go
         // stale-low, and only a confirmed foreign reading is worth the
         // spy detour.
-        const double foreign = best_foreign_advert(p);
+        const double foreign = best_advert(p.index);
         if (foreign < mine) {
           redirected = true;
           break;
@@ -931,109 +402,209 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
         // events (publish, fold, spy miss) restore the full sweep.
         global_pub_min_.store(foreign, std::memory_order_release);
       }
-      Entry e = mb_claim_best(p);
+      Entry e = claim_best(p);
       p.publish_private_min();
       if (this->ledger_.claim_popped(e, p.index)) {
         p.private_lock.unlock();
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return std::move(e.task);
+        return deliver(p, std::move(e.task));
       }
       p.counters->inc(Counter::tombstones_reaped);
       gate_.add(-1);
     }
-    const bool had_own = mb_best(p) != kEmptyMin;
     p.private_lock.unlock();
-    if (redirected) saw_tasks = true;
+    // The loop ends with own tasks left only on a confirmed redirect, so
+    // a redirect both counts as seen work and leaves a drain obligation.
+    bool saw_tasks = redirected;
 
-    // Spy: the one cross-place pull.  In mailbox mode it claims from the
-    // victim's whole owner-folded store under the victim's private lock.
+    // Spy: the one cross-place pull, from the victim's whole
+    // owner-folded store under the victim's private lock.
     if (cfg_.enable_spying) {
-      if (auto out = spy(p, saw_tasks)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
-      }
+      if (auto out = spy(p, saw_tasks)) return deliver(p, std::move(*out));
     }
 
     // The redirect raced away (or spying is off): our own tasks remain
     // this storage's obligation — drain unconditionally.
-    if (had_own) {
-      saw_tasks = true;
+    if (redirected) {
       p.private_lock.lock();
-      while (mb_best(p) != kEmptyMin) {
-        Entry e = mb_claim_best(p);
-        p.publish_private_min();
-        if (this->ledger_.claim_popped(e, p.index)) {
-          p.private_lock.unlock();
-          gate_.add(-1);
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return std::move(e.task);
-        }
-        p.counters->inc(Counter::tombstones_reaped);
-        gate_.add(-1);
-      }
+      std::optional<TaskT> out = claim_live(p, p);
       p.private_lock.unlock();
+      if (out) return deliver(p, std::move(*out));
     }
 
+    // Classification: "contended" if any tier advertised tasks this place
+    // failed to claim (a confirmed redirect, a lost spy try_lock,
+    // tombstone-only sweeps); "empty" if every tier looked drained.
     p.counters->inc(saw_tasks ? Counter::pop_contended : Counter::pop_empty);
     return std::nullopt;
   }
 
-  /// Pop the best published task of `shard` on behalf of popping place
-  /// `p` (whose counters take the reap credit).  Tombstones are consumed
-  /// in place — a segment-head tombstone advances the head like any
-  /// consumed head — until a live task or an empty shard stops the loop.
-  std::optional<TaskT> try_pop_published(Place& shard, Place& p) {
-    // Injected failure = the try_lock lost; the caller moves to the next
-    // shard (or gives up the attempt) exactly as under real contention.
-    if (KPS_FAILPOINT_FAIL("hybrid.pop.published")) return std::nullopt;
-    if (!shard.pub_lock.try_lock()) return std::nullopt;
-    p.counters->inc(Counter::shard_locks);
-    std::optional<TaskT> out;
-    bool touched = false;
-    for (;;) {
-      const bool heap_has = !shard.pub_heap.empty();
-      const bool seg_has = !shard.seg_index.empty();
-      if (!heap_has && !seg_has) break;
-      Entry e;
-      if (seg_has &&
-          (!heap_has ||
-           shard.seg_index.top().priority <=
-               static_cast<double>(shard.pub_heap.top().task.priority))) {
-        const SegHead h = shard.seg_index.pop();
-        Segment& s = shard.segments[h.seg];
-        e = std::move(s.run[s.head]);
-        ++s.head;
-        if (s.head < s.run.size()) {
-          shard.seg_index.push(
-              {static_cast<double>(s.run[s.head].task.priority), h.seg});
-        } else {
-          // Exhausted: recycle slot and run capacity.
-          s.run.clear();
-          shard.run_pool.push_back(std::move(s.run));
-          s.run = std::vector<Entry>();
-          s.head = 0;
-          shard.segment_free.push_back(h.seg);
-        }
+ private:
+  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// Re-sweep the advertised minima into the cached global minimum.  The
+  /// "published tier" is the union of advertised owner-folded stores and
+  /// unfolded inbox entries.  Called after every published-tier event
+  /// (mail, fold, spy) — the cold 1/k of operations — so the owner fast
+  /// path stays O(1).  The cache is a hint: a stale value momentarily
+  /// misroutes a pop (slightly higher realized rank error or one spy
+  /// detour), never loses a task.
+  void refresh_global_pub_min() {
+    global_pub_min_.store(best_advert(kNone), std::memory_order_release);
+  }
+
+  /// Best live advert (owner-folded store or unfolded inbox) of any place
+  /// other than `skip` (kNone: every place).  With skip = the popping
+  /// place it is the redirect verification: the shared cache can be
+  /// stale from that place's own claims, so a redirect is only taken
+  /// against a live foreign reading.
+  double best_advert(std::size_t skip) const {
+    double best = kEmptyMin;
+    for (std::size_t i = 0; i < places_.size(); ++i) {
+      if (i == skip) continue;
+      const double pm = places_[i].private_min.load(std::memory_order_acquire);
+      if (pm < best) best = pm;
+      const double im = places_[i].inbox_min.load(std::memory_order_acquire);
+      if (im < best) best = im;
+    }
+    return best;
+  }
+
+  /// Return a run buffer's capacity to the owner's pool.  Retention is
+  /// capped at one ring's worth: inflow is unbounded for a place that
+  /// receives more mail than it sends (the flood victim), and beyond the
+  /// ring capacity a publish burst can never draw more anyway.
+  void recycle_run(Place& p, std::vector<Entry>&& run)
+      KPS_REQUIRES(p.private_lock) {
+    if (p.run_pool.size() < p.inbox.capacity()) {
+      run.clear();
+      p.run_pool.push_back(std::move(run));
+    }
+  }
+
+  /// Top up the owner's mail_pool to `chunks` staged buffers from
+  /// run_pool.  Called with private_lock already held on the publish
+  /// path; dispatch_runs then draws lock-free (mail_pool is owner-only).
+  void stage_mail_buffers(Place& p, std::size_t chunks)
+      KPS_REQUIRES(p.private_lock) {
+    while (p.mail_pool.size() < chunks && !p.run_pool.empty()) {
+      p.mail_pool.push_back(std::move(p.run_pool.back()));
+      p.run_pool.pop_back();
+    }
+  }
+
+  /// Fold one mailed run into the owner's segment store — the vector
+  /// moves in whole (an inbox entry IS a segment), O(log S) against the
+  /// head index.  Free and fresh slots hold no buffer, so there is no
+  /// capacity to hand back; buffers return to the pool only once their
+  /// segment is exhausted or spilled.
+  void ingest_run(Place& p, std::vector<Entry>&& run)
+      KPS_REQUIRES(p.private_lock) {
+    // Take a slot off the free list, or grow the slot array.
+    std::uint32_t slot;
+    if (!p.segment_free.empty()) {
+      slot = p.segment_free.back();
+      p.segment_free.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(p.segments.size());
+      p.segments.emplace_back();
+    }
+    Segment& s = p.segments[slot];
+    s.run = std::move(run);
+    s.head = 0;
+    p.seg_index.push({static_cast<double>(s.run.front().task.priority), slot});
+  }
+
+  /// Segment-spill policy (counter: segment_spills): very small k floods
+  /// a store with short runs faster than pops retire them, and every live
+  /// segment adds a seg_index entry that folds and pops must sift past.
+  /// Once the live-segment count exceeds cfg_.max_segments, keep only the
+  /// hottest half (smallest head priorities) as streaming segments and
+  /// fold every colder segment's remaining tasks into the COLD heap —
+  /// never back into the private heap, which is the republish source
+  /// (cold tasks must not ping-pong through the mail forever).  Tasks
+  /// only move between containers of the same store under private_lock,
+  /// so relaxation bounds and the advertised minimum are untouched.
+  /// Caller refreshes the minima.
+  void maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
+    if (cfg_.max_segments <= 0) return;
+    const auto limit = static_cast<std::size_t>(cfg_.max_segments);
+    if (p.seg_index.size() <= limit) return;
+    // Seam: stretch the spill critical section (private_lock held) so
+    // racing spies pile up during the fold.
+    KPS_FAILPOINT("hybrid.spill");
+    auto& heads = p.spill_buf;
+    heads.clear();
+    while (!p.seg_index.empty()) {
+      heads.push_back(p.seg_index.pop());  // ascending head priority
+    }
+    const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
+    for (std::size_t i = 0; i < keep; ++i) p.seg_index.push(heads[i]);
+    for (std::size_t i = keep; i < heads.size(); ++i) {
+      Segment& s = p.segments[heads[i].seg];
+      for (std::size_t j = s.head; j < s.run.size(); ++j) {
+        p.cold_heap.push(std::move(s.run[j]));
+      }
+      recycle_run(p, std::move(s.run));
+      s.run = std::vector<Entry>();
+      s.head = 0;
+      p.segment_free.push_back(heads[i].seg);
+    }
+    p.counters->inc(Counter::segment_spills);
+  }
+
+  /// Extract the best entry of the owner-folded store (precondition: the
+  /// store is non-empty): from whichever container holds store_min(),
+  /// segment heads first on a tie, then the private heap.  A consumed
+  /// segment head advances to the next task; an exhausted segment
+  /// recycles slot and capacity.
+  Entry claim_best(Place& p) KPS_REQUIRES(p.private_lock) {
+    const double m = p.store_min();
+    if (!p.seg_index.empty() && p.seg_index.top().priority == m) {
+      const SegHead h = p.seg_index.pop();
+      Segment& s = p.segments[h.seg];
+      Entry e = std::move(s.run[s.head]);
+      ++s.head;
+      if (s.head < s.run.size()) {
+        p.seg_index.push(
+            {static_cast<double>(s.run[s.head].task.priority), h.seg});
       } else {
-        e = shard.pub_heap.pop();
+        recycle_run(p, std::move(s.run));
+        s.run = std::vector<Entry>();
+        s.head = 0;
+        p.segment_free.push_back(h.seg);
       }
-      touched = true;
-      if (this->ledger_.claim_popped(e, p.index)) {
-        out = std::move(e.task);
-        break;
-      }
+      return e;
+    }
+    if (!p.private_heap.empty() &&
+        static_cast<double>(p.private_heap.top().task.priority) == m) {
+      return p.private_heap.pop();
+    }
+    return p.cold_heap.pop();
+  }
+
+  /// Claim the best live task of `owner`'s store on behalf of popping
+  /// place `p` (whose counters take the reap credit).  Tombstones that
+  /// surface first are reaped in place until a live task or an empty
+  /// store stops the loop.
+  std::optional<TaskT> claim_live(Place& owner, Place& p)
+      KPS_REQUIRES(owner.private_lock) {
+    while (owner.store_min() != kEmptyMin) {
+      Entry e = claim_best(owner);
+      owner.publish_private_min();
+      if (this->ledger_.claim_popped(e, p.index)) return std::move(e.task);
       p.counters->inc(Counter::tombstones_reaped);
       gate_.add(-1);
     }
-    if (touched) shard.publish_pub_min();
-    shard.pub_lock.unlock();
-    if (touched) refresh_global_pub_min();
-    return out;
+    return std::nullopt;
+  }
+
+  /// Account one successful pop by `p`.
+  std::optional<TaskT> deliver(Place& p, TaskT&& task) {
+    gate_.add(-1);
+    p.counters->inc(Counter::tasks_executed);
+    detail::trace_ev(p, TraceEv::pop);
+    return std::move(task);
   }
 
   std::optional<TaskT> spy(Place& p, bool& saw_tasks) {
@@ -1054,32 +625,11 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     saw_tasks = true;
     Place& victim = places_[idx];
     if (!victim.private_lock.try_lock()) return std::nullopt;
-    std::optional<TaskT> out;
-    for (;;) {
-      Entry e;
-      if (cfg_.mailbox) {
-        // Mailbox spy claims from the victim's whole owner-folded store
-        // (heap, segment heads, cold heap) — the one cross-place pull.
-        if (mb_best(victim) == kEmptyMin) break;
-        e = mb_claim_best(victim);
-      } else {
-        if (victim.private_heap.empty()) break;
-        e = victim.private_heap.pop();
-      }
-      victim.publish_private_min();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        out = std::move(e.task);
-        break;
-      }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+    std::optional<TaskT> out = claim_live(victim, p);
     victim.private_lock.unlock();
-    if (cfg_.mailbox) {
-      // Spying is already the slow path; a refresh here retires stale
-      // hints (the victim we just probed may have drained).
-      refresh_global_pub_min();
-    }
+    // Spying is already the slow path; a refresh here retires stale
+    // hints (the victim we just probed may have drained).
+    refresh_global_pub_min();
     if (out) {
       p.counters->inc(Counter::spied_items);
       // Spy records on the SPY'S own ring (SPSC: one writer per ring);

@@ -39,9 +39,8 @@ namespace kps {
 /// Every registered storage name, in canonical report order (strictest
 /// to least ordered, matching the DESIGN.md taxonomy table).
 inline constexpr std::string_view kStorageNames[] = {
-    "global_pq",  "centralized",  "hybrid",
-    "hybrid_shard", "multiqueue", "ws_priority",
-    "ws_deque",
+    "global_pq",  "centralized", "hybrid",
+    "multiqueue", "ws_priority", "ws_deque",
 };
 
 /// " global_pq centralized ..." — the enumeration benches splice into
@@ -73,13 +72,12 @@ struct StorageCapability {
 /// (independent of the task type), so this table cannot drift from what
 /// cancel/reprioritize actually do — bench_common prints it from --help
 /// and require_capability fails fast against it.
-inline std::array<StorageCapability, 7> registry_capabilities() {
+inline std::array<StorageCapability, 6> registry_capabilities() {
   using Probe = Task<int, double>;
   return {{
       {"global_pq", GlobalLockedPq<Probe>::kCaps},
       {"centralized", CentralizedKpq<Probe>::kCaps},
       {"hybrid", HybridKpq<Probe>::kCaps},
-      {"hybrid_shard", HybridKpq<Probe>::kCaps},
       {"multiqueue", MultiQueuePool<Probe>::kCaps},
       {"ws_priority", WsPriorityPool<Probe>::kCaps},
       {"ws_deque", WsDequePool<Probe>::kCaps},
@@ -108,15 +106,6 @@ std::optional<AnyStorage<TaskT>> try_make_storage(
   if (name == "global_pq") return wrap.template operator()<GlobalLockedPq>();
   if (name == "centralized") return wrap.template operator()<CentralizedKpq>();
   if (name == "hybrid") return wrap.template operator()<HybridKpq>();
-  if (name == "hybrid_shard") {
-    // Registry-visible legacy arm (ablation A20): the hybrid with the
-    // spinlocked shared-shard published tier pinned on, regardless of
-    // the config's mailbox flag — so A/B sweeps select it by name.
-    StorageConfig legacy = cfg;
-    legacy.mailbox = false;
-    return AnyStorage<TaskT>(
-        std::make_unique<HybridKpq<TaskT>>(places, legacy, stats));
-  }
   if (name == "multiqueue") return wrap.template operator()<MultiQueuePool>();
   if (name == "ws_priority") return wrap.template operator()<WsPriorityPool>();
   if (name == "ws_deque") return wrap.template operator()<WsDequePool>();

@@ -68,9 +68,9 @@ struct StorageConfig {
   std::size_t multiqueue_factor = 2;  // multiqueue: queues per place (c)
 
   // Hybrid batched publish (ablation A10): a publish flushes the private
-  // heap as pre-sorted runs of at most this many tasks, each ingested by
-  // the published shard's segment store in O(log S).  <= 1 selects the
-  // PR-1 behaviour (one heap push per flushed task).
+  // heap as pre-sorted runs of at most this many tasks, each mailed to a
+  // peer's inbox and folded into its owner's segment store in O(log S).
+  // <= 1 mails one-task runs.
   int publish_batch = 64;
 
   // Centralized: guide the pop scan (and push free-slot probe) by a
@@ -86,25 +86,16 @@ struct StorageConfig {
   // ablation baseline.
   bool hierarchical_min = true;
 
-  // Hybrid: cap on live sorted segments per published shard.  Small k
+  // Hybrid: cap on live sorted segments per owner-folded store.  Small k
   // with a large task flood publishes many short runs faster than pops
-  // drain them; once a shard holds more than this many live segments,
-  // the cold (worst-priority) half is folded into the shard heap and
-  // the slots recycled, so per-pop segment-index work stays bounded.
+  // drain them; once a store holds more than this many live segments,
+  // the cold (worst-priority) half is folded into the owner's cold heap
+  // and the slots recycled, so per-pop segment-index work stays bounded.
   // <= 0 disables spilling (the PR-2 unbounded-accumulation behaviour).
   int max_segments = 64;
 
-  // Hybrid mailbox publish (PR 10): when on, a publish mails its
-  // pre-sorted runs to peer places' bounded MPSC inbox rings and each
-  // owner folds its inbox at pop time — no shard spinlock is ever taken
-  // on a cross-place path (DESIGN.md "Mailbox publish").  Off selects
-  // the legacy spinlocked shared-shard published tier, also reachable
-  // through the registry as the `hybrid_shard` storage name (the A/B
-  // arm ablation A20 measures against).
-  bool mailbox = true;
-
-  // Hybrid mailbox: bounded inbox capacity, in runs (one inbox entry is
-  // one pre-sorted segment of at most publish_batch tasks).  Rounded up
+  // Hybrid: bounded inbox capacity, in runs (one inbox entry is one
+  // pre-sorted segment of at most publish_batch tasks).  Rounded up
   // to a power of two, minimum 2, by the ring.  A full inbox never
   // blocks or drops: the publisher keeps the run and folds it into its
   // own segment store instead (counter inbox_full_fallbacks).

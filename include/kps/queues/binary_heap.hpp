@@ -45,8 +45,8 @@ class BinaryHeap {
   ///
   /// This is the batched-publish primitive: a full extraction drains the
   /// array in one pass and sorts it — O(n log n) with sequential access —
-  /// which is what HybridKpq flushes into its published shard as a
-  /// pre-sorted run.  A partial extraction falls back to repeated pops.
+  /// which is what HybridKpq's publish flush mails out as pre-sorted
+  /// runs.  A partial extraction falls back to repeated pops.
   void extract_sorted_segment(std::vector<T>& out,
                               std::size_t max_count = kNoLimit) {
     if (max_count >= a_.size()) {

@@ -92,13 +92,6 @@ class DaryHeap {
   /// Remove and return the worst element (shed-lowest's victim).
   T extract_worst() { return extract_at(worst_index()); }
 
-  /// Move every element into `out` (no ordering guarantee) and clear.
-  /// Used by HybridKpq's publish flush: one memcpy-ish sweep, no sift work.
-  void drain_unordered(std::vector<T>& out) {
-    for (auto& v : a_) out.push_back(std::move(v));
-    a_.clear();
-  }
-
   /// Move roughly the worse half of the elements into `out` (suffix split;
   /// see BinaryHeap::extract_half for why no re-heapify is needed).
   void extract_half(std::vector<T>& out) {

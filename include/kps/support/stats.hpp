@@ -37,21 +37,20 @@ enum class Counter : std::size_t {
   min_heals,           // centralized: stale min-index nodes healed by CAS
   overflow_stale,      // centralized: pre-lock overflow snapshots that lost
                        // their race (pop fell back to the window candidate)
-  segment_merges,      // hybrid: pre-sorted runs ingested by published shards
-  segment_spills,      // hybrid: cold-segment folds into the shard heap
+  segment_merges,      // hybrid: pre-sorted runs folded into an owner's
+                       // segment store (from its inbox or a fallback)
+  segment_spills,      // hybrid: cold-segment spills into the owner's cold
+                       // heap
   push_rejected,       // bounded capacity: try_push refused (reject policy)
   tasks_shed,          // bounded capacity: tasks dropped by shed-lowest
   tasks_cancelled,     // lifecycle: live residencies tombstoned (cancel +
                        // the detach half of every reprioritize)
   tombstones_reaped,   // lifecycle: tombstoned entries freed by pop/shed scans
   timers_fired,        // timer wheel: deadline actions delivered by the runner
-  inbox_appends,       // hybrid mailbox: runs committed into a peer's inbox
-  inbox_folds,         // hybrid mailbox: owner fold passes that drained >= 1 run
-  inbox_full_fallbacks,// hybrid mailbox: appends refused by a full ring
+  inbox_appends,       // hybrid: runs committed into a peer's inbox
+  inbox_folds,         // hybrid: owner fold passes that drained >= 1 run
+  inbox_full_fallbacks,// hybrid: appends refused by a full ring
                        // (publisher self-folds the run instead)
-  shard_locks,         // hybrid legacy: pub_lock acquisitions on the
-                       // push/publish/pop paths (mailbox A/B witness: 0
-                       // on every mailbox-mode path by construction)
   kCount
 };
 
@@ -72,7 +71,6 @@ inline constexpr const char* kCounterNames[kNumCounters] = {
     "segment_spills",    "push_rejected",    "tasks_shed",
     "tasks_cancelled",   "tombstones_reaped", "timers_fired",
     "inbox_appends",     "inbox_folds",      "inbox_full_fallbacks",
-    "shard_locks",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   kNumCounters,

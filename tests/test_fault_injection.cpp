@@ -72,16 +72,10 @@ const std::vector<StorageSeams> kCatalog = {
       "central.pop.claim_cas", "central.heal.clear_bit",
       "minindex.note_min", "minindex.heal", "epoch.advance",
       "epoch.collect"}},
-    // "hybrid" is the mailbox-mode default: cross-place publish goes
-    // through the inbox seams; hybrid.pop.published never executes there.
     {"hybrid",
      {"hybrid.publish.attempt", "hybrid.publish.flush",
       "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",
       "hybrid.spill"}},
-    // The registry-pinned legacy arm keeps the shard-tier seam coverage.
-    {"hybrid_shard",
-     {"hybrid.publish.attempt", "hybrid.publish.flush",
-      "hybrid.pop.published", "hybrid.spy", "hybrid.spill"}},
     {"multiqueue", {"mq.push.lock", "mq.pop.probe"}},
     {"ws_priority", {"wsprio.steal"}},
     {"ws_deque", {"wsdeque.steal"}},
@@ -336,19 +330,13 @@ const char* injection_spec(const std::string& storage) {
            "epoch.advance=fail:p=0.5,epoch.collect=delay:iters=32:p=0.2";
   }
   if (storage == "hybrid") {
-    // Mailbox mode: a failed inbox append forces the full-ring fallback
-    // (publisher self-folds), a fold delay stalls the owner mid-drain.
+    // A failed inbox append forces the full-ring fallback (publisher
+    // self-folds), a fold delay stalls the owner mid-drain.
     return "hybrid.publish.attempt=fail:p=0.5,"
            "hybrid.publish.flush=yield:p=0.3,"
            "hybrid.inbox.append=fail:p=0.4,"
            "hybrid.inbox.fold=delay:iters=32:p=0.3,"
            "hybrid.spy=fail:p=0.5,hybrid.spill=delay:iters=32";
-  }
-  if (storage == "hybrid_shard") {
-    return "hybrid.publish.attempt=fail:p=0.5,"
-           "hybrid.publish.flush=yield:p=0.3,"
-           "hybrid.pop.published=fail:p=0.3,hybrid.spy=fail:p=0.5,"
-           "hybrid.spill=delay:iters=32";
   }
   if (storage == "multiqueue") {
     return "mq.push.lock=fail:p=0.4,mq.pop.probe=fail:p=0.4";
@@ -380,7 +368,7 @@ void test_des_oracle_under_injection() {
   params.window = 4.0;
   params.seed = 7;
   const DesOutcome oracle = des_sequential(params);
-  for (const char* name : {"centralized", "hybrid", "hybrid_shard"}) {
+  for (const char* name : {"centralized", "hybrid"}) {
     apply_spec_checked(injection_spec(name));
     StatsRegistry stats(2);
     StorageConfig cfg;
@@ -392,8 +380,7 @@ void test_des_oracle_under_injection() {
     fp::disarm_all();
     assert(run.outcome == oracle);
   }
-  std::printf("  DES oracle-exact under injection (centralized, hybrid, "
-              "hybrid_shard)\n");
+  std::printf("  DES oracle-exact under injection (centralized, hybrid)\n");
 }
 
 // --------------------------------------------------- centralized rank bound

@@ -1,5 +1,5 @@
-// Tier-1: the PR-10 mailbox publish path — per-place MPSC inbox rings
-// replacing the spinlocked shared shards in the hybrid.
+// Tier-1: the hybrid's mailbox publish path — per-place MPSC inbox rings
+// that carry every published run between places.
 //
 //   * MpscRing unit semantics: FIFO reserve/commit, wraparound across
 //     many laps, capacity rounding, full-ring refusal that leaves the
@@ -7,16 +7,12 @@
 //   * MpscRing concurrency: P producers blast one consumer's ring with
 //     the full-ring fallback live; every value arrives exactly once
 //     (the CI tsan job runs this under TSan).
-//   * Zero shard locks: every mailbox-mode path — push, publish, pop,
-//     spy, shed, drain — leaves Counter::shard_locks at 0, on workloads
-//     and on churn; the legacy "hybrid_shard" registry arm on the same
-//     workload proves the witness counter actually fires.
-//   * Mailbox fold unit (the spill-unit analog): P = 1 self-mailing at
-//     publish_batch = 2 / max_segments = 4 must merge + spill through
-//     the owner-folded store and still pop in exact global order.
+//   * Mailbox fold unit: P = 1 self-mailing at publish_batch = 2 /
+//     max_segments = 4 must merge + spill through the owner-folded store
+//     and still pop in exact global order.
 //   * Full-ring accounting: a 2-slot inbox under a one-sided flood must
-//     take the self-fold fallback (inbox_full_fallbacks) and still
-//     conserve every task.
+//     take the self-fold fallback (inbox_full_fallbacks), conserve every
+//     task, and bank only buffers that carry capacity.
 //   * Conservation churn through the inbox path at P in {2, 4, 8}, with
 //     the new seams (hybrid.inbox.append / hybrid.inbox.fold) armed
 //     when failpoints are compiled in.
@@ -186,11 +182,16 @@ void drain_all(Storage& storage, std::vector<std::uint32_t>& out) {
 }
 
 // ------------------------------------------------- mailbox fold unit
-// P = 1: every publish mails to self, every pop folds.  Same adversarial
-// decreasing-priority stream as the legacy spill unit — the owner-folded
-// store must merge segments, spill into the cold heap, and still hand
-// the 128 tasks back in exact ascending order (single place: the fold
-// happens before any claim, so pop always takes the true minimum).
+// P = 1: every publish mails to self, every pop folds.  An adversarial
+// decreasing-priority stream: k = 8, publish_batch = 2 splits every
+// publish into 4 fresh segments, so the first 128 pushes with no
+// interleaved pops blow through max_segments = 4.  The last 4 pushes —
+// the best tasks — stay in the private heap, so the drain must pick
+// among all three containers (private heap, segment heads, cold heap).
+// The owner-folded store must merge segments, spill into the cold heap,
+// and still hand all 132 tasks back in exact ascending order (single
+// place: the fold happens before any claim, so pop always takes the
+// true minimum).
 
 void test_mailbox_fold_unit() {
   StorageConfig cfg;
@@ -199,12 +200,11 @@ void test_mailbox_fold_unit() {
   cfg.publish_batch = 2;
   cfg.max_segments = 4;
   cfg.inbox_slots = 64;
-  assert(cfg.mailbox);  // the default — this suite exists to test it
   StatsRegistry stats(1);
   HybridKpq<SsspTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
 
-  const int kTasks = 128;
+  const int kTasks = 132;
   for (int i = 0; i < kTasks; ++i) {
     kps::push(storage, place, 8, {static_cast<double>(kTasks - i), 0u});
   }
@@ -226,9 +226,8 @@ void test_mailbox_fold_unit() {
   assert(fin.get(Counter::inbox_folds) >= 1);
   assert(fin.get(Counter::segment_merges) >= 1);
   assert(fin.get(Counter::segment_spills) >= 1);
-  assert(fin.get(Counter::shard_locks) == 0);  // the PR's whole point
   std::printf("  mailbox fold unit: %llu folds, %llu spills, order + "
-              "conservation OK, 0 shard locks\n",
+              "conservation OK\n",
               static_cast<unsigned long long>(
                   fin.get(Counter::inbox_folds)),
               static_cast<unsigned long long>(
@@ -239,6 +238,27 @@ void test_mailbox_fold_unit() {
 // 2-slot inbox at P = 2, all pushes from place 0, no pops until the end:
 // the victim's ring fills after two appends and every later publish must
 // take the self-fold fallback.  Nothing may be lost either way.
+
+/// Every buffer a place banks for reuse must carry capacity: a
+/// zero-capacity vector takes a pool slot under the one-ring cap and
+/// still allocates on its next use.  Returns how many buffers it saw.
+std::size_t assert_pooled_buffers_hold_capacity(HybridKpq<SsspTask>& storage) {
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < storage.places(); ++i) {
+    auto& place = storage.place(i);
+    place.private_lock.lock();
+    for (const auto& buf : place.run_pool) {
+      assert(buf.capacity() != 0 && "zero-capacity buffer in run_pool");
+      ++seen;
+    }
+    place.private_lock.unlock();
+    for (const auto& buf : place.mail_pool) {  // owner-only, quiescent here
+      assert(buf.capacity() != 0 && "zero-capacity buffer in mail_pool");
+      ++seen;
+    }
+  }
+  return seen;
+}
 
 void test_full_ring_fallback() {
   StorageConfig cfg;
@@ -259,19 +279,23 @@ void test_full_ring_fallback() {
   assert(mid.get(Counter::inbox_appends) >= 1);
   assert(mid.get(Counter::inbox_full_fallbacks) >= 1 &&
          "a 2-slot ring under a one-sided flood must overflow");
+  assert_pooled_buffers_hold_capacity(storage);
 
   std::vector<std::uint32_t> drained;
   drain_all(storage, drained);
   assert(drained.size() == kTasks);
   std::sort(drained.begin(), drained.end());
   for (std::uint32_t i = 0; i < kTasks; ++i) assert(drained[i] == i);
-  assert(stats.total().get(Counter::shard_locks) == 0);
+  // The drain retired every segment, so the pools are non-empty here.
+  const std::size_t pooled = assert_pooled_buffers_hold_capacity(storage);
+  assert(pooled >= 1);
   std::printf("  full-ring fallback: %llu appends, %llu fallbacks, "
-              "conservation OK\n",
+              "conservation OK, %zu pooled buffers all with capacity\n",
               static_cast<unsigned long long>(
                   mid.get(Counter::inbox_appends)),
               static_cast<unsigned long long>(
-                  mid.get(Counter::inbox_full_fallbacks)));
+                  mid.get(Counter::inbox_full_fallbacks)),
+              pooled);
 }
 
 // ------------------------------------------------- conservation churn
@@ -331,7 +355,6 @@ void churn_one(std::size_t P, int inbox_slots, bool arm_seams) {
   std::sort(out.begin(), out.end());
   assert(in == out && "mailbox churn lost or duplicated a task");
   const PlaceStats totals = stats.total();
-  assert(totals.get(Counter::shard_locks) == 0);
   assert(totals.get(Counter::inbox_appends) +
              totals.get(Counter::inbox_full_fallbacks) >= 1);
 }
@@ -371,7 +394,6 @@ void test_oracles() {
       const SsspResult r = parallel_sssp(g, 0, storage, 16, &stats);
       assert(r.dist == truth);
       const PlaceStats totals = stats.total();
-      assert(totals.get(Counter::shard_locks) == 0);
       // The round trip is genuinely mailed: publishes happened and each
       // ended in an inbox commit or an accounted fallback.
       assert(totals.get(Counter::publishes) >= 1);
@@ -391,22 +413,9 @@ void test_oracles() {
       auto des_storage = make_storage<DesTask>("hybrid", P, cfg, &des_stats);
       const DesRun run = des_parallel(params, des_storage, 16, &des_stats);
       assert(run.outcome == des_oracle);
-      assert(des_stats.total().get(Counter::shard_locks) == 0);
     }
   }
-
-  // The legacy arm on the same workload proves the witness counter is
-  // live: "hybrid_shard" must acquire shard locks (and never mail).
-  StatsRegistry legacy_stats(4);
-  auto legacy = build("hybrid_shard", 4, 16, 11, legacy_stats);
-  const SsspResult r = parallel_sssp(g, 0, legacy, 16, &legacy_stats);
-  assert(r.dist == truth);
-  assert(legacy_stats.total().get(Counter::shard_locks) >= 1);
-  assert(legacy_stats.total().get(Counter::inbox_appends) == 0);
-  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}, 0 shard locks "
-              "(legacy arm: %llu)\n",
-              static_cast<unsigned long long>(
-                  legacy_stats.total().get(Counter::shard_locks)));
+  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}\n");
 }
 
 // -------------------------------------------- lifecycle in transit
@@ -472,7 +481,6 @@ void test_lifecycle_in_transit() {
   assert(totals.get(Counter::inbox_folds) >= 1);
   assert(totals.get(Counter::tasks_cancelled) == 2);  // cancel + re-key
   assert(totals.get(Counter::tombstones_reaped) == 2);
-  assert(totals.get(Counter::shard_locks) == 0);
   // Ledger balance: 5 spawns (4 + re-push) = 3 executed + 2 cancelled.
   assert(totals.get(Counter::tasks_spawned) == 5);
   assert(totals.get(Counter::tasks_executed) == 3);
@@ -494,17 +502,7 @@ void test_config_validation() {
     threw = true;
   }
   assert(threw && "inbox_slots = 0 must be rejected");
-  // The legacy arm ignores the mailbox entirely but still validates.
-  threw = false;
-  try {
-    StatsRegistry stats(1);
-    auto s = make_storage<SsspTask>("hybrid_shard", 1, bad, &stats);
-    (void)s;
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  assert(threw);
-  std::printf("  config: inbox_slots < 1 rejected on both arms\n");
+  std::printf("  config: inbox_slots < 1 rejected\n");
 }
 
 }  // namespace

@@ -5,17 +5,14 @@
 // (max_segments = 2).  Relaxed pop order may cost deferrals / pruned
 // pops / re-expansions, never results.  Storages are built through the
 // registry facade — the checks iterate kStorageNames, so a storage added
-// to the registry is swept here automatically.  Also holds a
-// deterministic unit check for the segment-store spill itself
-// (conservation + spill counter).
+// to the registry is swept here automatically.  The deterministic unit
+// check of the segment-store spill lives in test_mailbox (fold unit).
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/hybrid_kpq.hpp"
 #include "core/storage_registry.hpp"
 #include "core/task_types.hpp"
 #include "workloads/astar.hpp"
@@ -129,53 +126,6 @@ void all_storages(CheckFn&& check_one) {
   check_one("hybrid/spill", "hybrid", spill);
 }
 
-// ----------------------------------------- segment-spill unit check
-
-/// Deterministic spill trigger: one place, k = 8, publish_batch = 2 —
-/// every publish splits 8 tasks into 4 fresh segments, so pushing 128
-/// tasks with no interleaved pops must blow through max_segments = 4
-/// and spill.  Afterwards every task must come back out exactly once
-/// (conservation across heap + segments), in globally sorted order at
-/// P = 1 (private tier empty, single shard: pop always takes the true
-/// shard minimum).  Uses the concrete type: this is a unit test of
-/// HybridKpq's spill mechanics, not of the facade.
-void test_segment_spill_unit() {
-  StorageConfig cfg;
-  cfg.k_max = 8;
-  cfg.default_k = 8;
-  cfg.publish_batch = 2;
-  cfg.max_segments = 4;
-  // Pinned to the legacy shard tier: this unit tests the SHARD spill
-  // mechanics (pub_lock side).  test_mailbox has the mailbox analog.
-  cfg.mailbox = false;
-  StatsRegistry stats(1);
-  HybridKpq<SsspTask> storage(1, cfg, &stats);
-  auto& place = storage.place(0);
-
-  const int kTasks = 128;
-  for (int i = 0; i < kTasks; ++i) {
-    // Decreasing priorities adversarially interleave segment runs.
-    kps::push(storage, place, 8, {static_cast<double>(kTasks - i), 0u});
-  }
-  const PlaceStats mid = stats.total();
-  assert(mid.get(Counter::segment_spills) >= 1);
-  assert(mid.get(Counter::segment_merges) >= 1);
-
-  double last = -1.0;
-  int popped = 0;
-  while (true) {
-    std::optional<SsspTask> t = storage.pop(place);
-    if (!t) break;
-    assert(t->priority >= last);  // spill must not break the pop order
-    last = t->priority;
-    ++popped;
-  }
-  assert(popped == kTasks);  // conservation: a spill never loses a task
-  std::printf("  segment spill unit: %llu spills, order + conservation OK\n",
-              static_cast<unsigned long long>(
-                  stats.total().get(Counter::segment_spills)));
-}
-
 }  // namespace
 
 int main() {
@@ -256,8 +206,6 @@ int main() {
       });
     }
   }
-
-  test_segment_spill_unit();
 
   std::printf("test_workloads: OK\n");
   return 0;

@@ -457,98 +457,6 @@ ObsPair measure_observability_overhead(bool tracing_enabled) {
   return row;
 }
 
-/// PR-10 mailbox rows: the published-tier round trip priced A/B between
-/// the inbox-delegation path (cfg.mailbox, the default) and the legacy
-/// spinlocked shard.  A chunk is the PR-2/A10 round-trip shape — push a
-/// burst at k = publish_batch = 64 so every 64th push crosses the
-/// published tier, then drain it all back — and the two arms run their
-/// chunks interleaved with the estimator being the median PAIRED
-/// per-chunk ratio, same drift-cancelling methodology as the
-/// tombstone/observability rows.  (An interleaved 1-push-1-pop churn
-/// would price only the self-mail copy: at P = 1 every publish is a
-/// mail-to-self, and with no drain phase the streamed fold that pays
-/// for it never gets to amortize.)
-struct MailboxPair {
-  double ns_per_op_shard = 0;
-  double ns_per_op_mailbox = 0;
-  double ratio = 1.0;  // mailbox/shard, median paired per-chunk
-  std::uint64_t mailbox_shard_locks = 0;  // acceptance witness: 0
-  std::uint64_t shard_shard_locks = 0;    // proves the witness counts
-  std::uint64_t inbox_appends = 0;
-  std::uint64_t inbox_folds = 0;
-  std::uint64_t inbox_full_fallbacks = 0;
-  bool exact = false;
-};
-
-MailboxPair measure_mailbox_roundtrip() {
-  using ChurnTask = Task<std::uint64_t, double>;
-  using Hybrid = HybridKpq<ChurnTask>;
-  StorageConfig cfg;
-  cfg.k_max = 64;
-  cfg.default_k = 64;
-  cfg.publish_batch = 64;
-  cfg.mailbox = false;
-  StatsRegistry stats_shard(1);
-  Hybrid shard(1, cfg, &stats_shard);
-  cfg.mailbox = true;
-  StatsRegistry stats_mb(1);
-  Hybrid mb(1, cfg, &stats_mb);
-
-  // A chunk must be big enough to reach the flood's steady state: the
-  // ring fills (~64 appends in) and further publishes take the
-  // accounted self-fold fallback, and the drain runs long enough to
-  // amortize fold bookkeeping.  2000-op chunks stay 100% on the
-  // ring-append path and overprice the mail by ~15%.
-  const int kChunkOps = 20000;  // pushes per flood chunk (pops match)
-  const int kChunks = 10;       // 200000 round trips per arm, total
-  std::uint64_t pushed = 0;
-  std::uint64_t recovered = 0;
-  Xoshiro256 rng_shard(1);
-  Xoshiro256 rng_mb(1);
-
-  const auto flood = [&](Hybrid& storage, Xoshiro256& rng, int ops) {
-    auto& place = storage.place(0);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < ops; ++i) {
-      kps::push(storage, place, 64, {rng.next_unit(), pushed++});
-    }
-    while (storage.pop(place)) ++recovered;
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  flood(shard, rng_shard, kChunkOps);  // untimed warm-up chunk per side
-  flood(mb, rng_mb, kChunkOps);
-  std::vector<double> t_shard;
-  std::vector<double> t_mb;
-  t_shard.reserve(kChunks);
-  t_mb.reserve(kChunks);
-  for (int c = 0; c < kChunks; ++c) {
-    t_shard.push_back(flood(shard, rng_shard, kChunkOps));
-    t_mb.push_back(flood(mb, rng_mb, kChunkOps));
-  }
-
-  MailboxPair row;
-  std::vector<double> ratios;
-  ratios.reserve(kChunks);
-  for (int c = 0; c < kChunks; ++c) ratios.push_back(t_mb[c] / t_shard[c]);
-  std::sort(ratios.begin(), ratios.end());
-  row.ratio = ratios[kChunks / 2];
-  std::sort(t_shard.begin(), t_shard.end());
-  std::sort(t_mb.begin(), t_mb.end());
-  row.ns_per_op_shard = t_shard[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  row.ns_per_op_mailbox = t_mb[kChunks / 2] / (2.0 * kChunkOps) * 1e9;
-  const PlaceStats ts = stats_shard.total();
-  const PlaceStats tm = stats_mb.total();
-  row.shard_shard_locks = ts.get(Counter::shard_locks);
-  row.mailbox_shard_locks = tm.get(Counter::shard_locks);
-  row.inbox_appends = tm.get(Counter::inbox_appends);
-  row.inbox_folds = tm.get(Counter::inbox_folds);
-  row.inbox_full_fallbacks = tm.get(Counter::inbox_full_fallbacks);
-  row.exact = recovered == pushed;
-  return row;
-}
-
 /// Flood-victim counters: P = 2, every push from place 0, no pops until
 /// the drain — the one-sided pattern that fills the victim's ring and
 /// exercises the accounted self-fold fallback.
@@ -556,7 +464,6 @@ struct FloodVictimRow {
   std::uint64_t inbox_appends = 0;
   std::uint64_t inbox_folds = 0;
   std::uint64_t inbox_full_fallbacks = 0;
-  std::uint64_t shard_locks = 0;
   bool exact = false;
 };
 
@@ -591,7 +498,6 @@ FloodVictimRow measure_flood_victim() {
   row.inbox_appends = t.get(Counter::inbox_appends);
   row.inbox_folds = t.get(Counter::inbox_folds);
   row.inbox_full_fallbacks = t.get(Counter::inbox_full_fallbacks);
-  row.shard_locks = t.get(Counter::shard_locks);
   row.exact = recovered == kOps;
   return row;
 }
@@ -961,76 +867,31 @@ int main(int argc, char** argv) {
     std::printf("  },\n");
   }
 
-  // PR-10 mailbox rows: legacy A/B on SSSP (shard_locks witness on both
-  // arms), the paired-chunk round-trip ratio at batch 64, and the
+  // Mailbox rows: the hybrid's SSSP inbox counters and the
   // flood-victim fallback counters.
   {
     std::printf("  \"mailbox\": {\n");
-    const auto shard_arm = measure("hybrid_shard", graphs, P, k);
-    const auto emit_ab = [&](const char* name, const SsspAggregate& a) {
-      std::printf(
-          "    \"%s\": {\"time_s\": %.6f, \"nodes_relaxed\": %.1f, "
-          "\"shard_locks\": %llu, \"inbox_appends\": %llu, "
-          "\"inbox_folds\": %llu, \"inbox_full_fallbacks\": %llu},\n",
-          name, a.seconds.mean(), a.nodes_relaxed.mean(),
-          static_cast<unsigned long long>(
-              a.counters.get(Counter::shard_locks)),
-          static_cast<unsigned long long>(
-              a.counters.get(Counter::inbox_appends)),
-          static_cast<unsigned long long>(
-              a.counters.get(Counter::inbox_folds)),
-          static_cast<unsigned long long>(
-              a.counters.get(Counter::inbox_full_fallbacks)));
-    };
-    emit_ab("sssp_hybrid_mailbox", hybrid);
-    emit_ab("sssp_hybrid_shard", shard_arm);
-    std::printf("    \"sssp_zero_shard_locks\": %s,\n",
-                hybrid.counters.get(Counter::shard_locks) == 0 &&
-                        shard_arm.counters.get(Counter::shard_locks) > 0
-                    ? "true"
-                    : "false");
-
-    // Median of five paired chunk-interleaved reps, like the tombstone
-    // and observability rows.
-    MailboxPair best;
-    std::vector<double> ratios;
-    bool all_exact = true;
-    for (int rep = 0; rep < 5; ++rep) {
-      const MailboxPair pair = measure_mailbox_roundtrip();
-      all_exact = all_exact && pair.exact;
-      ratios.push_back(pair.ratio);
-      if (rep == 0 || pair.ns_per_op_shard < best.ns_per_op_shard) {
-        best = pair;
-      }
-    }
-    std::sort(ratios.begin(), ratios.end());
-    const double ratio = ratios[ratios.size() / 2];
     std::printf(
-        "    \"roundtrip_batch64\": {\"ns_per_op_shard\": %.1f, "
-        "\"ns_per_op_mailbox\": %.1f, \"ratio_mailbox_vs_shard\": %.3f, "
-        "\"mailbox_shard_locks\": %llu, \"shard_shard_locks\": %llu, "
-        "\"inbox_appends\": %llu, \"inbox_folds\": %llu, "
-        "\"inbox_full_fallbacks\": %llu, \"exact\": %s, "
-        "\"verdict_not_slower_5pct\": %s},\n",
-        best.ns_per_op_shard, best.ns_per_op_mailbox, ratio,
-        static_cast<unsigned long long>(best.mailbox_shard_locks),
-        static_cast<unsigned long long>(best.shard_shard_locks),
-        static_cast<unsigned long long>(best.inbox_appends),
-        static_cast<unsigned long long>(best.inbox_folds),
-        static_cast<unsigned long long>(best.inbox_full_fallbacks),
-        all_exact && best.mailbox_shard_locks == 0 ? "true" : "false",
-        ratio <= 1.05 ? "true" : "false");
+        "    \"sssp_hybrid_mailbox\": {\"time_s\": %.6f, "
+        "\"nodes_relaxed\": %.1f, \"inbox_appends\": %llu, "
+        "\"inbox_folds\": %llu, \"inbox_full_fallbacks\": %llu},\n",
+        hybrid.seconds.mean(), hybrid.nodes_relaxed.mean(),
+        static_cast<unsigned long long>(
+            hybrid.counters.get(Counter::inbox_appends)),
+        static_cast<unsigned long long>(
+            hybrid.counters.get(Counter::inbox_folds)),
+        static_cast<unsigned long long>(
+            hybrid.counters.get(Counter::inbox_full_fallbacks)));
 
     const FloodVictimRow fv = measure_flood_victim();
     std::printf(
         "    \"flood_victim_p2_slots8\": {\"inbox_appends\": %llu, "
         "\"inbox_folds\": %llu, \"inbox_full_fallbacks\": %llu, "
-        "\"shard_locks\": %llu, \"exact\": %s}\n",
+        "\"exact\": %s}\n",
         static_cast<unsigned long long>(fv.inbox_appends),
         static_cast<unsigned long long>(fv.inbox_folds),
         static_cast<unsigned long long>(fv.inbox_full_fallbacks),
-        static_cast<unsigned long long>(fv.shard_locks),
-        fv.exact && fv.shard_locks == 0 ? "true" : "false");
+        fv.exact ? "true" : "false");
     std::printf("  },\n");
   }
 
