@@ -1,24 +1,18 @@
 // Figure 8 (this reproduction's extension; ablation A16): DES
 // virtual-time floor cost vs chain count.
 //
-// The PR-3 causality window recomputed the global virtual-time floor by
-// scanning all of chain_time[] on every windowed pop — O(chains) loads
-// per pop, which caps the DES panel at a few thousand chains.  PR 5
-// replaces the scan with a hierarchical min-index over chain times
-// (support/min_index.hpp): a floor read is one root load, and each
-// commit heals its 64-chain block, so per-pop floor cost is constant in
-// the chain count.  This panel sweeps chains over decades in both modes
-// and reports the machine-independent acceptance column,
-// floor_loads_per_pop: flat for the min-index, linear in chains for the
-// scan.  Every row is oracle-checked (`exact`), so scaling never trades
-// away the simulation outcome.
+// The causality window reads the global virtual-time floor from a
+// hierarchical min-index over chain times (support/min_index.hpp): a
+// floor read is one root load, and each commit heals its 64-chain block,
+// so per-pop floor cost is constant in the chain count (an O(chains)
+// scan of chain_time[] would cap the DES panel at a few thousand
+// chains).  This panel sweeps chains over decades and reports the
+// machine-independent acceptance column, floor_loads_per_pop, which
+// must stay flat.  Every row is oracle-checked (`exact`), so scaling
+// never trades away the simulation outcome.
 //
 //   ./fig8_chain_scaling --maxchains 100000 --P 4
 //   ./fig8_chain_scaling --storage=centralized --window 2
-//
-// The linear mode is capped (--linear-cap, default 16384): above that
-// the O(chains²·steps) total scan cost dominates wall time without
-// adding information — the cap is printed, never silent.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,12 +29,11 @@ using namespace kps::bench;
 
 int main(int argc, char** argv) {
   Args args(argc, argv,
-            {kStorageFlag, "maxchains", "linear-cap", "stations",
-             "horizon", "window", "P", "k", "seed"});
+            {kStorageFlag, "maxchains", "stations", "horizon", "window",
+             "P", "k", "seed"});
   const std::string storage_name = storage_from_args(args, "hybrid");
   const std::uint64_t maxchains =
       args.value("maxchains", args.flag("paper") ? 100000 : 65536);
-  const std::uint64_t linear_cap = args.value("linear-cap", 16384);
   const std::size_t P = args.value("P", 4);
   const int k = static_cast<int>(args.value("k", 256));
 
@@ -55,49 +48,35 @@ int main(int argc, char** argv) {
   std::printf("# fig8_chain_scaling — DES virtual-time floor cost vs "
               "chain count (A16)\n");
   std::printf("# storage=%s P=%zu k=%d window=%.1f horizon=%.1f — "
-              "floor_loads_per_pop is the machine-independent column: "
-              "flat (min-index) vs ~chains (linear scan)\n",
+              "floor_loads_per_pop is the machine-independent column\n",
               storage_name.c_str(), P, k, base.window, base.horizon);
-  std::printf("%-8s %9s %10s %10s %10s %12s %18s %7s\n", "floor",
-              "chains", "time_s", "events", "deferred", "pops",
-              "floor_loads_per_pop", "exact");
+  std::printf("%9s %10s %10s %10s %12s %18s %7s\n", "chains", "time_s",
+              "events", "deferred", "pops", "floor_loads_per_pop", "exact");
 
   for (std::uint64_t chains = 1024; chains <= maxchains; chains *= 4) {
     DesParams p = base;
     p.chains = static_cast<std::uint32_t>(chains);
     const DesOutcome oracle = des_sequential(p);
-    for (const bool hier : {false, true}) {
-      if (!hier && chains > linear_cap) {
-        std::printf("%-8s %9llu   (skipped: --linear-cap %llu — the "
-                    "O(chains) scan dominates wall time here)\n",
-                    "linear", static_cast<unsigned long long>(chains),
-                    static_cast<unsigned long long>(linear_cap));
-        continue;
-      }
-      p.hierarchical_floor = hier;
-      StorageConfig cfg;
-      cfg.k_max = k;
-      cfg.default_k = k;
-      cfg.seed = p.seed;
-      StatsRegistry stats(P);
-      auto storage = make_storage<DesTask>(storage_name, P, cfg, &stats);
-      const DesRun run = des_parallel(p, storage, k, &stats);
-      const std::uint64_t pops = run.runner.expanded + run.runner.wasted;
-      std::printf("%-8s %9llu %10.4f %10llu %10llu %12llu %18.1f %7s\n",
-                  hier ? "hier" : "linear",
-                  static_cast<unsigned long long>(chains),
-                  run.runner.seconds,
-                  static_cast<unsigned long long>(run.outcome.events),
-                  static_cast<unsigned long long>(run.deferred),
-                  static_cast<unsigned long long>(pops),
-                  pops ? static_cast<double>(run.floor_loads) /
-                             static_cast<double>(pops)
-                       : 0.0,
-                  run.outcome == oracle ? "yes" : "NO");
-    }
+    StorageConfig cfg;
+    cfg.k_max = k;
+    cfg.default_k = k;
+    cfg.seed = p.seed;
+    StatsRegistry stats(P);
+    auto storage = make_storage<DesTask>(storage_name, P, cfg, &stats);
+    const DesRun run = des_parallel(p, storage, k, &stats);
+    const std::uint64_t pops = run.runner.expanded + run.runner.wasted;
+    std::printf("%9llu %10.4f %10llu %10llu %12llu %18.1f %7s\n",
+                static_cast<unsigned long long>(chains), run.runner.seconds,
+                static_cast<unsigned long long>(run.outcome.events),
+                static_cast<unsigned long long>(run.deferred),
+                static_cast<unsigned long long>(pops),
+                pops ? static_cast<double>(run.floor_loads) /
+                           static_cast<double>(pops)
+                     : 0.0,
+                run.outcome == oracle ? "yes" : "NO");
   }
-  std::printf("# expect: exact=yes everywhere; linear floor_loads_per_pop "
-              "grows ~linearly with chains, hier stays ~flat (root load + "
-              "per-commit 64-entry block heal)\n");
+  std::printf("# expect: exact=yes everywhere; floor_loads_per_pop stays "
+              "~flat in chains (root load + per-commit 64-entry block "
+              "heal)\n");
   return 0;
 }

@@ -1,13 +1,11 @@
-// Microbenchmarks for the sequential priority queues used as local
-// components (DESIGN.md A7): push/pop throughput, mixed workloads, and
-// the steal-half split operation.
+// Microbenchmarks for the sequential heap used as the local component
+// (DESIGN.md A7): DaryHeap at fan-out 2, 4 and 8 — push/pop throughput,
+// mixed workloads, and the steal-half split operation.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "queues/binary_heap.hpp"
 #include "queues/dary_heap.hpp"
-#include "queues/pairing_heap.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -70,25 +68,22 @@ void BM_ExtractHalf(benchmark::State& state) {
                           static_cast<std::int64_t>(n / 2));
 }
 
-using Binary = BinaryHeap<double, DoubleMin>;
+using Dary2 = DaryHeap<double, DoubleMin, 2>;
 using Dary4 = DaryHeap<double, DoubleMin, 4>;
 using Dary8 = DaryHeap<double, DoubleMin, 8>;
-using Pairing = PairingHeap<double, DoubleMin>;
 
 }  // namespace
 
-BENCHMARK_TEMPLATE(BM_PushPopSorted, Binary)->Arg(1024)->Arg(65536);
+BENCHMARK_TEMPLATE(BM_PushPopSorted, Dary2)->Arg(1024)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_PushPopSorted, Dary4)->Arg(1024)->Arg(65536);
 BENCHMARK_TEMPLATE(BM_PushPopSorted, Dary8)->Arg(1024)->Arg(65536);
-BENCHMARK_TEMPLATE(BM_PushPopSorted, Pairing)->Arg(1024)->Arg(65536);
 
-BENCHMARK_TEMPLATE(BM_MixedHotQueue, Binary)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MixedHotQueue, Dary2)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MixedHotQueue, Dary4)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MixedHotQueue, Dary8)->Arg(4096);
-BENCHMARK_TEMPLATE(BM_MixedHotQueue, Pairing)->Arg(4096);
 
-BENCHMARK_TEMPLATE(BM_ExtractHalf, Binary)->Arg(8192);
+BENCHMARK_TEMPLATE(BM_ExtractHalf, Dary2)->Arg(8192);
 BENCHMARK_TEMPLATE(BM_ExtractHalf, Dary4)->Arg(8192);
-BENCHMARK_TEMPLATE(BM_ExtractHalf, Pairing)->Arg(8192);
+BENCHMARK_TEMPLATE(BM_ExtractHalf, Dary8)->Arg(8192);
 
 BENCHMARK_MAIN();

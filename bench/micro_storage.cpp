@@ -65,17 +65,13 @@ void BM_ContendedPushPop(benchmark::State& state) {
                           batch * 2);
 }
 
-// Occupancy-summary scan cost (ISSUE-2 acceptance): k = 4096 window with
-// ~64 live tasks — the sparse large-k regime where fig5's centralized
-// cliff lives.  Arg(0) = PR-1 linear scan, Arg(1) = PR-2 bitmap summary,
-// Arg(2) = PR-5 bitmap + hierarchical min-index; slot_loads_per_pop is
-// the machine-independent comparison (linear pays 4096 loads per scan,
-// the summary pays k/64 word loads plus one load per occupied slot, the
-// min-index descends to one word).
+// Sparse-window pop scan: k = 4096 window with ~64 live tasks — the
+// large-k regime of fig5's centralized cliff.  slot_loads_per_pop and
+// summary_loads_per_pop are the machine-independent counters: the
+// min-index descends to one word instead of loading every slot (4096
+// per pop) or every occupied slot behind k/64 summary words.
 void BM_CentralPopScan(benchmark::State& state) {
   StorageConfig cfg{.k_max = 4096, .default_k = 4096};
-  cfg.occupancy_summary = state.range(0) != 0;
-  cfg.hierarchical_min = state.range(0) == 2;
   StatsRegistry stats(1);
   CentralizedKpq<BenchTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
@@ -98,17 +94,14 @@ void BM_CentralPopScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
 
-// Dense-window pop (PR-5 A15 acceptance): k = 4096 with ≥ 2048 occupied
-// slots — the regime where the bitmap stopped helping because a min-scan
-// still visited every occupied slot.  Arg(0) = PR-2 occupied-scan
-// baseline, Arg(1) = hierarchical min-index descent; acceptance is
-// slot_loads_per_pop dropping ≥ 4×.  Also reports the new
-// tree_descents / min_heals counters and the pop_empty / pop_contended
-// failure split (all failures here must be empty-verdicts: one place,
-// no contention).
+// Dense-window pop (ablation A15): k = 4096 with ≥ 2048 occupied slots —
+// the regime where the bitmap alone stopped helping because a min-scan
+// still visited every occupied slot.  Reports slot_loads_per_pop (the
+// A15 counter), tree_descents / min_heals, and the pop_empty /
+// pop_contended failure split (all failures here must be empty-verdicts:
+// one place, no contention).
 void BM_CentralDenseWindow(benchmark::State& state) {
   StorageConfig cfg{.k_max = 4096, .default_k = 4096};
-  cfg.hierarchical_min = state.range(0) != 0;
   StatsRegistry stats(1);
   CentralizedKpq<BenchTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
@@ -160,7 +153,7 @@ BENCHMARK_TEMPLATE(BM_ContendedPushPop, WsDeque)->Threads(2)->Threads(4)->UseRea
 BENCHMARK_TEMPLATE(BM_ContendedPushPop, GlobalPq)->Threads(2)->Threads(4)->UseRealTime();
 BENCHMARK_TEMPLATE(BM_ContendedPushPop, MultiQ)->Threads(2)->Threads(4)->UseRealTime();
 
-BENCHMARK(BM_CentralPopScan)->Arg(0)->Arg(1)->Arg(2);
-BENCHMARK(BM_CentralDenseWindow)->Arg(0)->Arg(1);
+BENCHMARK(BM_CentralPopScan);
+BENCHMARK(BM_CentralDenseWindow);
 
 BENCHMARK_MAIN();

@@ -11,11 +11,11 @@
 //          one CAS.  A claimed node is retired through the epoch domain,
 //          because concurrent scanners may still be dereferencing it.
 //
-// Occupancy summary (cfg.occupancy_summary, on by default): one 64-bit
-// word per 64 slots mirrors which slots are occupied, so a pop scan costs
-// O(k/64) word loads plus one slot load per *occupied* slot instead of k
-// slot loads — the fix for fig5's large-k cliff.  The bitmap is a hint
-// maintained so that, at quiescence, bit set ⊇ slot occupied:
+// Occupancy summary: one 64-bit word per 64 slots mirrors which slots are
+// occupied, so a full scan costs O(k/64) word loads plus one slot load
+// per *occupied* slot instead of k slot loads — the fix for fig5's
+// large-k cliff.  The bitmap is a hint maintained so that, at
+// quiescence, bit set ⊇ slot occupied:
 //
 //   * a pusher sets the bit only AFTER its slot CAS succeeds, so a set
 //     bit reliably leads scanners to a (possibly just-claimed) node;
@@ -29,20 +29,19 @@
 //     make a scan miss a task momentarily — pop is allowed to be weakly
 //     complete, and the bit becomes visible on the next attempt.
 //
-// Hierarchical min-index (cfg.hierarchical_min, on by default, PR 5): the
-// bitmap removed empty-slot loads, but a min-scan still visited every
-// *occupied* slot.  With the index on, pop descends a per-word cached-min
-// tree (support/min_index.hpp) straight to the apparently-best word and
-// scans only that word's occupied slots — O(log k + 64) loads instead of
-// O(occupied).  The index is a hint with the same conservative-staleness
-// contract as the bitmap: pushes CAS-min the new priority up the tree,
-// claims recompute the word minimum from the slots and heal the path, and
-// a descent that lands on a stale (empty or claimed-out) word heals it
-// and retries; after kMaxDescents misses pop falls back to the full
-// occupancy scan, so completeness is exactly the bitmap's.  Claiming a
-// word-local best (not the global window best) is within the relaxation
-// contract — only window tasks are bypassed.  Counters: tree_descents,
-// min_heals.
+// Hierarchical min-index: the bitmap removed empty-slot loads, but a
+// min-scan still visited every *occupied* slot.  Pop instead descends a
+// per-word cached-min tree (support/min_index.hpp) straight to the
+// apparently-best word and scans only that word's occupied slots —
+// O(log k + 64) loads instead of O(occupied).  The index is a hint with
+// the same conservative-staleness contract as the bitmap: pushes CAS-min
+// the new priority up the tree, claims recompute the word minimum from
+// the slots and heal the path, and a descent that lands on a stale
+// (empty or claimed-out) word heals it and retries; after kMaxDescents
+// misses pop falls back to the full occupancy scan, so completeness is
+// exactly the bitmap's.  Claiming a word-local best (not the global
+// window best) is within the relaxation contract — only window tasks are
+// bypassed.  Counters: tree_descents, min_heals.
 //
 // Lifecycle (PR 7): window slots and the overflow heap hold LcEntry
 // nodes; a cancelled entry stays published as a tombstone until a pop's
@@ -110,14 +109,12 @@ class CentralizedKpq
       : cfg_(cfg),
         window_(static_cast<std::size_t>(std::max(cfg.k_max, 1))),
         summary_((window_.size() + 63) / 64),
-        hier_(cfg.hierarchical_min && cfg.occupancy_summary),
         min_index_(summary_.size()),
         places_(places ? places : 1) {
     stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
     detail::init_places(places_, cfg, stats);
     gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
+    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
     // order: relaxed — constructor runs single-threaded; publication of
     // the whole object happens-before any concurrent use.
     for (auto& s : window_) s.store(nullptr, std::memory_order_relaxed);
@@ -169,30 +166,9 @@ class CentralizedKpq
     // retired — only pop pays the pin fence.
     const std::size_t start =
         cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
-    if (cfg_.occupancy_summary) {
-      if (push_summary_guided(p, window, start, node)) {
-        gate_.add(1);
-        return out;
-      }
-    } else {
-      for (std::size_t i = 0; i < window; ++i) {
-        const std::size_t idx = start + i < window ? start + i
-                                                   : start + i - window;
-        // order: relaxed — free-slot probe; the claiming CAS below is the
-        // acquire/release point, a stale read only wastes one probe.
-        Entry* expected = window_[idx].load(std::memory_order_relaxed);
-        if (expected != nullptr) continue;
-        // order: relaxed (failure) — a lost slot race carries no data;
-        // the success leg is release to publish the node's payload.
-        if (!KPS_FAILPOINT_FAIL("central.push.slot_cas") &&
-            window_[idx].compare_exchange_strong(expected, node,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed)) {
-          gate_.add(1);
-          return out;
-        }
-        p.counters->inc(Counter::push_cas_failures);
-      }
+    if (push_summary_guided(p, window, start, node)) {
+      gate_.add(1);
+      return out;
     }
     // Window full: the task leaves the relaxed tier for the strict heap.
     // The wrapped entry moves tiers whole, keeping its handle redeemable.
@@ -211,39 +187,25 @@ class CentralizedKpq
     // Seam: a place parked here is pinned — the epoch-reclamation stall
     // test wedges one pop exactly like a preempted scanner.
     KPS_FAILPOINT("central.pop.pinned");
-    // Scan the whole slot array, not default_k: push honors the caller's
-    // per-op k, so any slot up to k_max may hold a task.
-    const std::size_t window = window_.size();
     bool saw_empty = false;
     for (int attempt = 0; attempt < 3; ++attempt) {
-      // Best published window node this scan (with the min-index on:
-      // best node of the apparently-minimal word).
+      // Best node of the apparently-minimal word.  The index and the
+      // fallback scan cover the whole slot array, not default_k: push
+      // honors the caller's per-op k, so any slot up to k_max may hold a
+      // task.
       Entry* best = nullptr;
       std::size_t best_idx = 0;
-      if (hier_) {
-        descend_best(p, &best, &best_idx);
-        // Descents exhausted without a candidate: the tree may be
-        // transiently stale-high (a raise re-check race hid a word), so
-        // completeness falls back to the PR-2 full occupancy scan.
-        if (!best) {
-          scan_summary(p, &best, &best_idx);
-          if (best) {
-            // Repair exactly the word the tree was hiding.
-            min_index_.note_min(best_idx / 64,
-                                static_cast<double>(best->task.priority));
-          }
-        }
-      } else if (cfg_.occupancy_summary) {
+      descend_best(p, &best, &best_idx);
+      // Descents exhausted without a candidate: the tree may be
+      // transiently stale-high (a raise re-check race hid a word), so
+      // completeness falls back to the full occupancy scan.
+      if (!best) {
         scan_summary(p, &best, &best_idx);
-      } else {
-        for (std::size_t i = 0; i < window; ++i) {
-          Entry* node = window_[i].load(std::memory_order_acquire);
-          if (node && (!best || node->task.priority < best->task.priority)) {
-            best = node;
-            best_idx = i;
-          }
+        if (best) {
+          // Repair exactly the word the tree was hiding.
+          min_index_.note_min(best_idx / 64,
+                              static_cast<double>(best->task.priority));
         }
-        p.counters->inc(Counter::slot_loads, window);
       }
 
       const double heap_min =
@@ -300,8 +262,8 @@ class CentralizedKpq
         const bool live = this->ledger_.claim_popped(*best, p.index);
         std::optional<TaskT> out;
         if (live) out = best->task;
-        if (cfg_.occupancy_summary) clear_bit_healed(best_idx);
-        if (hier_) heal_word(p, best_idx / 64);
+        clear_bit_healed(best_idx);
+        heal_word(p, best_idx / 64);
         p.epoch.retire(best,
                        [](void* ptr) { delete static_cast<Entry*>(ptr); });
         gate_.add(-1);
@@ -381,9 +343,7 @@ class CentralizedKpq
                                                  std::memory_order_relaxed)) {
           summary_[w].fetch_or(std::uint64_t{1} << (idx - base),
                                std::memory_order_release);
-          if (hier_) {
-            min_index_.note_min(w, pri);
-          }
+          min_index_.note_min(w, pri);
           return true;
         }
         p.counters->inc(Counter::push_cas_failures);
@@ -421,9 +381,8 @@ class CentralizedKpq
     return slot_loads;
   }
 
-  /// The PR-2 full occupancy scan: every summary word, every occupied
-  /// slot.  The completeness baseline the hierarchical path falls back
-  /// to.
+  /// Full occupancy scan: every summary word, every occupied slot.  The
+  /// completeness fallback when every min-index descent misses.
   void scan_summary(Place& p, Entry** best, std::size_t* best_idx) {
     std::uint64_t slot_loads = 0;
     p.counters->inc(Counter::summary_loads, summary_.size());
@@ -510,22 +469,13 @@ class CentralizedKpq
   /// exact for the window tier.
   void probe_rank(Place& p, double claimed) {
     std::uint64_t rank = 0;
-    if (cfg_.occupancy_summary) {
-      for (std::size_t w = 0; w < summary_.size(); ++w) {
-        std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
-        while (occ) {
-          const std::size_t idx =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
-          occ &= occ - 1;
-          Entry* node = window_[idx].load(std::memory_order_acquire);
-          if (node && static_cast<double>(node->task.priority) < claimed) {
-            ++rank;
-          }
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < window_.size(); ++i) {
-        Entry* node = window_[i].load(std::memory_order_acquire);
+    for (std::size_t w = 0; w < summary_.size(); ++w) {
+      std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
+      while (occ) {
+        const std::size_t idx =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
+        occ &= occ - 1;
+        Entry* node = window_[idx].load(std::memory_order_acquire);
         if (node && static_cast<double>(node->task.priority) < claimed) {
           ++rank;
         }
@@ -551,7 +501,6 @@ class CentralizedKpq
   EpochDomain domain_;  // declared before places_: EpochThreads must die first
   std::vector<std::atomic<Entry*>> window_;
   std::vector<std::atomic<std::uint64_t>> summary_;  // 1 bit per window slot
-  bool hier_;           // hierarchical_min requires the occupancy summary
   MinIndex min_index_;  // one cached min per summary word + d-ary tree
   Spinlock overflow_lock_;
   DaryHeap<Entry, detail::LcEntryLess, 4> overflow_

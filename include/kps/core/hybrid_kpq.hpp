@@ -179,8 +179,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       p.inbox.init(static_cast<std::size_t>(cfg_.inbox_slots));
     }
     gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
+    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
   }
 
   std::size_t places() const { return places_.size(); }
@@ -527,7 +526,6 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// so relaxation bounds and the advertised minimum are untouched.
   /// Caller refreshes the minima.
   void maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
-    if (cfg_.max_segments <= 0) return;
     const auto limit = static_cast<std::size_t>(cfg_.max_segments);
     if (p.seg_index.size() <= limit) return;
     // Seam: stretch the spill critical section (private_lock held) so

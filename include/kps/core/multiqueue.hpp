@@ -1,13 +1,13 @@
 // MultiQueuePool — the random-two-choices relaxed baseline
 // (Rihani/Sanders/Dementiev-style MultiQueue, cf. Postnikova et al. 2021).
 //
-// c·P spinlocked heaps.  push: lock a uniformly random queue.  pop: probe
-// two random queues, compare their cached best priorities without taking
-// either lock, then lock only the better one.  Quality degrades gracefully
-// (expected rank error O(P)) while contention per queue drops with c.
+// c·P spinlocked heaps (c = kQueuesPerPlace = 2).  push: lock a uniformly
+// random queue.  pop: probe two random queues, compare their cached best
+// priorities without taking either lock, then lock only the better one.
+// Quality degrades gracefully (expected rank error O(P)) while contention
+// per queue drops with c.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <limits>
@@ -47,12 +47,9 @@ class MultiQueuePool
       : cfg_(cfg), places_(places ? places : 1) {
     stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
     detail::init_places(places_, cfg_, stats);
-    const std::size_t q = std::max<std::size_t>(
-        2, places_.size() * std::max<std::size_t>(cfg.multiqueue_factor, 1));
-    queues_ = std::vector<Queue>(q);
+    queues_ = std::vector<Queue>(places_.size() * kQueuesPerPlace);
     gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
+    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
   }
 
   std::size_t places() const { return places_.size(); }
@@ -152,6 +149,8 @@ class MultiQueuePool
 
  private:
   static constexpr double kEmptyTop = std::numeric_limits<double>::infinity();
+  // Heaps per place (the MultiQueue's c).
+  static constexpr std::size_t kQueuesPerPlace = 2;
   // try_lock probes before push falls back to a blocking lock.
   static constexpr std::uint64_t kMaxPushProbes = 16;
 

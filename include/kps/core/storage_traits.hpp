@@ -65,33 +65,18 @@ struct StorageConfig {
   bool randomize_placement = true;    // centralized: random vs linear slot
   bool steal_half = true;             // work-stealing: half vs single task
 
-  std::size_t multiqueue_factor = 2;  // multiqueue: queues per place (c)
-
   // Hybrid batched publish (ablation A10): a publish flushes the private
   // heap as pre-sorted runs of at most this many tasks, each mailed to a
   // peer's inbox and folded into its owner's segment store in O(log S).
   // <= 1 mails one-task runs.
   int publish_batch = 64;
 
-  // Centralized: guide the pop scan (and push free-slot probe) by a
-  // 64-bit-per-word occupancy summary instead of loading every slot.
-  // Off = the PR-1 linear scan, kept as the ablation baseline.
-  bool occupancy_summary = true;
-
-  // Centralized: descend a hierarchical min-index (support/min_index.hpp,
-  // one cached min per summary word + a d-ary tree over the words) to the
-  // best word instead of min-scanning every occupied slot.  Effective
-  // only with occupancy_summary on (the descent reads the word's
-  // occupancy bits); off = the PR-2 full occupied-scan, kept as the A15
-  // ablation baseline.
-  bool hierarchical_min = true;
-
   // Hybrid: cap on live sorted segments per owner-folded store.  Small k
   // with a large task flood publishes many short runs faster than pops
   // drain them; once a store holds more than this many live segments,
   // the cold (worst-priority) half is folded into the owner's cold heap
   // and the slots recycled, so per-pop segment-index work stays bounded.
-  // <= 0 disables spilling (the PR-2 unbounded-accumulation behaviour).
+  // Must be >= 1: spilling cannot be switched off.
   int max_segments = 64;
 
   // Hybrid: bounded inbox capacity, in runs (one inbox entry is one
@@ -128,15 +113,9 @@ struct StorageConfig {
   // queue_delay: per-task enqueue→pop latency histogram, stamped into
   // the lifecycle control block at wrap() and recorded at pop-claim time
   // — requires enable_lifecycle (validated below), since the stamp
-  // travels in the LifecycleNode.
+  // travels in the LifecycleNode.  Each thread stamps 1 in
+  // detail::kDelaySample of its wraps (core/lifecycle.hpp).
   Histogram* queue_delay = nullptr;
-  // delay_sample: 1-in-N sampling period for the queue_delay stamps.
-  // The stamp is two steady_clock reads per task (~70 ns on this class
-  // of machine) — exhaustive stamping (1) is exact but costs ~25% on a
-  // bare push/pop hot path, so the default samples 1-in-8 (tail
-  // quantiles converge just as well; bench_baseline's observability
-  // block prices the default).  Ignored unless queue_delay is set.
-  int delay_sample = 8;
   // rank_error + rank_probe (ablation A1 as a live distribution): every
   // rank_probe-th successful pop per place measures its window-visible
   // rank error (occupied slots strictly better than the claimed task)
@@ -150,9 +129,8 @@ struct StorageConfig {
   /// for a usable config, else a diagnostic naming the bad field.  The
   /// checks reject exactly the values that used to fail silently —
   /// a k_max of 0 sized the centralized window to 1 behind the caller's
-  /// back, a negative publish_batch (e.g. a u64 flag value narrowed
-  /// through int) flipped the hybrid into per-task publishes, and a
-  /// multiqueue_factor of 0 was clamped to 1 without a word.
+  /// back, and a negative publish_batch (e.g. a u64 flag value narrowed
+  /// through int) flipped the hybrid into per-task publishes.
   std::string validate() const {
     if (k_max < 1) {
       return "k_max must be >= 1, got " + std::to_string(k_max);
@@ -168,12 +146,9 @@ struct StorageConfig {
       return "publish_batch must be >= 0, got " +
              std::to_string(publish_batch);
     }
-    if (max_segments < 0) {
-      return "max_segments must be >= 0 (0 disables spilling), got " +
+    if (max_segments < 1) {
+      return "max_segments must be >= 1, got " +
              std::to_string(max_segments);
-    }
-    if (multiqueue_factor == 0) {
-      return "multiqueue_factor must be >= 1";
     }
     if (inbox_slots < 1) {
       return "inbox_slots must be >= 1, got " + std::to_string(inbox_slots);
@@ -189,10 +164,6 @@ struct StorageConfig {
     if (queue_delay != nullptr && !enable_lifecycle) {
       return "queue_delay needs enable_lifecycle (the spawn timestamp "
              "travels in the lifecycle control block)";
-    }
-    if (queue_delay != nullptr && delay_sample < 1) {
-      return "delay_sample must be >= 1 (1 = stamp every task), got " +
-             std::to_string(delay_sample);
     }
     return {};
   }

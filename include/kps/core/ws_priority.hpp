@@ -56,8 +56,7 @@ class WsPriorityPool
     stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
     detail::init_places(places_, cfg_, stats);
     gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay,
-                       cfg_.delay_sample);
+    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
   }
 
   std::size_t places() const { return places_.size(); }

@@ -1,9 +1,11 @@
-// Array-backed d-ary min-heap, the default local component (d = 4).
+// Array-backed d-ary min-heap (d = 4 by default): the one sequential heap
+// behind every storage and oracle.
 //
-// Two cache tricks over BinaryHeap: (a) fan-out 4 keeps all children of a
-// node inside one cache line for 8/16-byte elements, roughly halving the
-// depth of every sift; (b) sifts move a "hole" instead of swapping, so
-// each level costs one move rather than three.
+// Two cache tricks over a classic swap-based binary heap: (a) fan-out 4
+// keeps all children of a node inside one cache line for 8/16-byte
+// elements, roughly halving the depth of every sift; (b) sifts move a
+// "hole" instead of swapping, so each level costs one move rather than
+// three.
 #pragma once
 
 #include <algorithm>
@@ -89,11 +91,12 @@ class DaryHeap {
     return out;
   }
 
-  /// Remove and return the worst element (shed-lowest's victim).
-  T extract_worst() { return extract_at(worst_index()); }
-
-  /// Move roughly the worse half of the elements into `out` (suffix split;
-  /// see BinaryHeap::extract_half for why no re-heapify is needed).
+  /// Move roughly the worse half of the elements into `out`.
+  ///
+  /// For any fan-out D >= 2 the trailing half of the array is parent-free
+  /// (every element there is a leaf): dropping that suffix never breaks
+  /// the heap property, so the split is O(n/2) moves with no re-heapify.
+  /// No ordering guarantee on the extracted elements.
   void extract_half(std::vector<T>& out) {
     const std::size_t keep = (a_.size() + 1) / 2;
     for (std::size_t i = keep; i < a_.size(); ++i) {
@@ -102,26 +105,17 @@ class DaryHeap {
     a_.resize(keep);
   }
 
-  /// Move the best min(max_count, size()) elements into `out`, appended in
-  /// ascending (best-first) order, and remove them from the heap.
-  ///
-  /// Full extraction (HybridKpq's publish flush) moves the array out and
-  /// sorts it — one sequential pass, no sift work; a partial extraction
-  /// falls back to repeated pops.
-  void extract_sorted_segment(std::vector<T>& out,
-                              std::size_t max_count = kNoLimit) {
-    if (max_count >= a_.size()) {
-      const std::size_t base = out.size();
-      for (auto& v : a_) out.push_back(std::move(v));
-      a_.clear();
-      std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-                less_);
-      return;
-    }
-    for (std::size_t i = 0; i < max_count; ++i) out.push_back(pop());
+  /// Move every element into `out`, appended in ascending (best-first)
+  /// order, leaving the heap empty.  The batched-publish primitive
+  /// (HybridKpq's publish flush): one sequential pass plus a sort, no
+  /// sift work.
+  void extract_sorted_segment(std::vector<T>& out) {
+    const std::size_t base = out.size();
+    for (auto& v : a_) out.push_back(std::move(v));
+    a_.clear();
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
+              less_);
   }
-
-  static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 
  private:
   /// Sift `v` down from `hole` to its resting place (the former pop()

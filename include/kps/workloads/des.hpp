@@ -43,15 +43,13 @@
 // entries are therefore advanced with a CAS-max (chain times are
 // monotone), never a plain store that could roll a later value back.
 //
-// Virtual-time floor (PR-5, `DesParams::hierarchical_floor`, default
-// on): the floor is read from a hierarchical min-index over chain_time[]
-// (support/min_index.hpp) — one root load per windowed pop — and each
-// commit heals its chain's 64-entry block, so per-pop floor cost is
-// O(1) + O(64) instead of the O(chains) scan (the A16 panel; `false`
-// keeps the PR-3 linear scan as the ablation baseline).  The index
-// inherits the scan's approximation contract: chain times are monotone,
-// so a recompute-from-observed heal can only under-estimate — the root
-// is a true lower bound on live virtual time at every sample.
+// Virtual-time floor: the floor is read from a hierarchical min-index
+// over chain_time[] (support/min_index.hpp) — one root load per windowed
+// pop — and each commit heals its chain's 64-entry block, so per-pop
+// floor cost is O(1) + O(64) instead of an O(chains) scan (the A16
+// panel).  Chain times are monotone, so a recompute-from-observed heal
+// can only under-estimate — the root is a true lower bound on live
+// virtual time at every sample.
 #pragma once
 
 #include <algorithm>
@@ -81,7 +79,6 @@ struct DesParams {
   double window = 8.0;           // causality window; < 0 disables the rule
   std::uint32_t max_defer = 8;   // lazy re-enqueue budget per event
   std::uint64_t seed = 1;
-  bool hierarchical_floor = true;  // min-index floor; false = O(chains) scan
 
   // PR-7 lifecycle: expire any enqueued event that sits unprocessed for
   // this many logical ticks (runner-wide claimed pops); 0 = never.
@@ -261,18 +258,18 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   std::vector<std::atomic<double>> chain_time(p.chains);
   std::vector<DesTask> seeds;
   seeds.reserve(p.chains);
-  // Floor index: one cached min per 64 chains + a d-ary tree.  Floor
-  // reads become one root load; commits heal their chain's block.
-  const bool hier_floor =
-      p.hierarchical_floor && p.window >= 0 && p.chains > 0;
+  // Floor index: one cached min per 64 chains + a d-ary tree, kept only
+  // while the causality window reads it.  Floor reads are one root load;
+  // commits heal their chain's block.
+  const bool use_floor = p.window >= 0 && p.chains > 0;
   std::optional<MinIndex> floor_index;
-  if (hier_floor) floor_index.emplace((p.chains + 63) / 64);
+  if (use_floor) floor_index.emplace((p.chains + 63) / 64);
   std::atomic<std::uint64_t> floor_checks{0};
   std::atomic<std::uint64_t> floor_loads{0};
   for (std::uint32_t c = 0; c < p.chains; ++c) {
     const double t0 = des_initial_time(p, c);
     chain_time[c].store(t0, std::memory_order_relaxed);  // order: relaxed — init
-    if (hier_floor) floor_index->note_min(c / 64, t0);
+    if (use_floor) floor_index->note_min(c / 64, t0);
     seeds.push_back({t0, {c, 0, 0}});
   }
 
@@ -313,20 +310,9 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     const DesEvent ev = task.payload;
     const double t = task.priority;
 
-    if (p.window >= 0 && ev.defers < p.max_defer) {
-      double floor = kInf;
-      if (hier_floor) {
-        floor = floor_index->root();
-        floor_loads.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
-      } else {
-        for (const auto& ct : chain_time) {
-          // order: relaxed — same monotone under-estimate as block_floor.
-          const double v = ct.load(std::memory_order_relaxed);
-          if (v < floor) floor = v;
-        }
-        floor_loads.fetch_add(chain_time.size(),
-                              std::memory_order_relaxed);  // order: relaxed — counter
-      }
+    if (use_floor && ev.defers < p.max_defer) {
+      const double floor = floor_index->root();
+      floor_loads.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
       floor_checks.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
       if (t > floor + p.window) {
         // Causality-window violation: lazy re-enqueue, same timestamp,
@@ -368,7 +354,7 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     } else {
       detail::store_max(chain_time[ev.chain], kInf);
     }
-    if (hier_floor) {
+    if (use_floor) {
       const std::size_t b = ev.chain / 64;
       std::uint64_t loads = 0;
       floor_index->heal_block(b, [&] { return block_floor(b, &loads); });

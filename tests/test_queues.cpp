@@ -1,13 +1,11 @@
-// Tier-1: heap property and extract_half invariants for all three
-// sequential queue components.
+// Tier-1: heap property, extract_half and extract_sorted_segment
+// invariants for DaryHeap at fan-out 2, 4 and 8.
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <vector>
 
-#include "queues/binary_heap.hpp"
 #include "queues/dary_heap.hpp"
-#include "queues/pairing_heap.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -43,8 +41,7 @@ void check_sorted_pops(const char* name, std::size_t n, std::uint64_t seed) {
 }
 
 template <typename Q>
-void check_extract_half(const char* name, std::size_t n, std::uint64_t seed,
-                        bool exact_split) {
+void check_extract_half(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   Q q;
   std::vector<double> ref;
@@ -57,13 +54,8 @@ void check_extract_half(const char* name, std::size_t n, std::uint64_t seed,
   std::vector<double> loot;
   q.extract_half(loot);
 
-  if (exact_split) {
-    // Array heaps split off exactly the parent-free suffix.
-    assert(loot.size() == n - (n + 1) / 2);
-  } else if (n >= 2) {
-    assert(!loot.empty());    // pairing heap moves at least one element
-    assert(loot.size() < n);  // ... and never the root
-  }
+  // The split takes exactly the parent-free suffix.
+  assert(loot.size() == n - (n + 1) / 2);
   assert(q.size() + loot.size() == n);
 
   // Conservation: remaining pops + loot == original multiset, and the
@@ -84,7 +76,7 @@ void check_extract_half(const char* name, std::size_t n, std::uint64_t seed,
 
 template <typename Q>
 void check_extract_sorted_segment(const char* name, std::size_t n,
-                                  std::size_t max_count, std::uint64_t seed) {
+                                  std::uint64_t seed) {
   Xoshiro256 rng(seed);
   Q q;
   std::vector<double> ref;
@@ -97,28 +89,23 @@ void check_extract_sorted_segment(const char* name, std::size_t n,
 
   // Appends after existing content, never clobbering it.
   std::vector<double> seg = {-7.0};
-  q.extract_sorted_segment(seg, max_count);
+  q.extract_sorted_segment(seg);
 
-  const std::size_t taken = std::min(max_count, n);
-  assert(seg.size() == 1 + taken);
+  // Ordering + ownership: the segment is every element in ascending
+  // order, and the heap no longer owns any of them.
+  assert(seg.size() == 1 + n);
   assert(seg[0] == -7.0);
-  assert(q.size() == n - taken);
-
-  // Ordering + ownership: the segment is exactly the best `taken`
-  // elements in ascending order, and the heap no longer owns them —
-  // its remaining pops are exactly the worse suffix, still sorted.
-  for (std::size_t i = 0; i < taken; ++i) {
+  assert(q.empty());
+  for (std::size_t i = 0; i < n; ++i) {
     if (seg[1 + i] != ref[i]) {
       std::fprintf(stderr, "%s: segment[%zu] expected %.17g got %.17g\n",
                    name, i, ref[i], seg[1 + i]);
       assert(false);
     }
   }
-  for (std::size_t i = taken; i < n; ++i) {
-    assert(!q.empty());
-    assert(q.pop() == ref[i]);
-  }
-  assert(q.empty());
+  // The drained heap is reusable.
+  q.push(0.5);
+  assert(q.size() == 1 && q.pop() == 0.5);
 }
 
 template <typename Q>
@@ -138,38 +125,25 @@ void check_interleaved(std::size_t rounds, std::uint64_t seed) {
   }
 }
 
+template <unsigned D>
+void check_fanout(const char* name) {
+  using Q = DaryHeap<double, Less, D>;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    for (std::size_t n : {0, 1, 2, 7, 64, 1000}) {
+      check_sorted_pops<Q>(name, n, seed);
+      check_extract_half<Q>(n, seed);
+      check_extract_sorted_segment<Q>(name, n, seed);
+    }
+    check_interleaved<Q>(5000, seed);
+  }
+}
+
 }  // namespace
 
 int main() {
-  using Binary = BinaryHeap<double, Less>;
-  using Dary4 = DaryHeap<double, Less, 4>;
-  using Dary8 = DaryHeap<double, Less, 8>;
-  using Pairing = PairingHeap<double, Less>;
-
-  for (std::uint64_t seed : {1, 2, 3}) {
-    for (std::size_t n : {1, 2, 7, 64, 1000}) {
-      check_sorted_pops<Binary>("binary", n, seed);
-      check_sorted_pops<Dary4>("dary4", n, seed);
-      check_sorted_pops<Dary8>("dary8", n, seed);
-      check_sorted_pops<Pairing>("pairing", n, seed);
-
-      check_extract_half<Binary>("binary", n, seed, true);
-      check_extract_half<Dary4>("dary4", n, seed, true);
-      check_extract_half<Pairing>("pairing", n, seed, false);
-
-      // Batched-publish primitive: full drain, partial, none, over-ask.
-      for (std::size_t m : {std::size_t{0}, std::size_t{1}, n / 2, n,
-                            n + 5, static_cast<std::size_t>(-1)}) {
-        check_extract_sorted_segment<Binary>("binary", n, m, seed);
-        check_extract_sorted_segment<Dary4>("dary4", n, m, seed);
-        check_extract_sorted_segment<Dary8>("dary8", n, m, seed);
-        check_extract_sorted_segment<Pairing>("pairing", n, m, seed);
-      }
-    }
-    check_interleaved<Binary>(5000, seed);
-    check_interleaved<Dary4>(5000, seed);
-    check_interleaved<Pairing>(5000, seed);
-  }
+  check_fanout<2>("dary2");
+  check_fanout<4>("dary4");
+  check_fanout<8>("dary8");
   std::printf("test_queues: OK\n");
   return 0;
 }

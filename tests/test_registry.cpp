@@ -100,15 +100,16 @@ void test_config_validation() {
   neg_segments.max_segments = -1;
   assert(!neg_segments.validate().empty());
 
-  StorageConfig zero_factor;
-  zero_factor.multiqueue_factor = 0;
-  assert(!zero_factor.validate().empty());
+  // Spilling is always on: a segment cap of 0 is not an "off" switch.
+  StorageConfig zero_segments;
+  zero_segments.max_segments = 0;
+  assert(!zero_segments.validate().empty());
 
   // Boundary values that are meaningful stay legal: publish_batch 0/1
-  // (per-task publishes) and max_segments 0 (spilling disabled).
+  // (per-task publishes) and max_segments 1 (spill past one segment).
   StorageConfig edges;
   edges.publish_batch = 0;
-  edges.max_segments = 0;
+  edges.max_segments = 1;
   edges.default_k = 0;  // per-op k = 0 is the hybrid's every-push mode
   assert(edges.validate().empty());
 

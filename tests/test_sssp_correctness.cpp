@@ -88,10 +88,6 @@ int main() {
         linear.randomize_placement = false;
         check("centralized", g, truth, P, 64, graph_seed, linear,
               "centralized/linear");
-        StorageConfig no_summary;
-        no_summary.occupancy_summary = false;
-        check("centralized", g, truth, P, 64, graph_seed, no_summary,
-              "centralized/nosummary");
         // Batched publish (A10): per-task, mid, and larger-than-k batches
         // must all be invisible to correctness.
         for (int batch : {1, 16, 256}) {

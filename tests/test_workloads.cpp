@@ -153,9 +153,8 @@ int main() {
   // --- DES deferral-heavy regression (PR-5): a causality window tighter
   // than one service time plus a deep defer budget exercises the
   // spawn-then-store ordering and the min-index floor under constant
-  // deferral pressure, in both floor modes (the oracle is floor-mode
-  // independent — the fix and the index must shift schedule quality,
-  // never results).
+  // deferral pressure (the fix and the index must shift schedule
+  // quality, never results).
   {
     DesParams params;
     params.stations = 16;
@@ -166,13 +165,9 @@ int main() {
     params.seed = 23;
     const DesOutcome oracle = des_sequential(params);
     assert(oracle.events > params.chains);
-    for (const bool hier : {true, false}) {
-      params.hierarchical_floor = hier;
-      for (std::size_t P : kPlaces) {
-        for (const char* name : {"centralized", "hybrid", "ws_deque"}) {
-          check_des(std::string(name) + (hier ? "/hier" : "/linear"),
-                    name, params, oracle, P, k);
-        }
+    for (std::size_t P : kPlaces) {
+      for (const char* name : {"centralized", "hybrid", "ws_deque"}) {
+        check_des(std::string(name) + "/defer", name, params, oracle, P, k);
       }
     }
   }

@@ -122,9 +122,9 @@ void emit_workload_block(const char* workload, std::size_t P, int k,
 // ------------------------------------------- A15 / A16 (PR-5) rows
 
 /// A15: dense-window centralized pop — k = 4096 with ~2560 occupied
-/// slots, steady push+pop churn.  `hier` toggles the min-index descent
-/// against the PR-2 occupied-scan baseline; `exact` is conservation
-/// (every pushed task recovered exactly once).
+/// slots, steady push+pop churn, priced in loads per pop of the
+/// min-index descent; `exact` is conservation (every pushed task
+/// recovered exactly once).
 struct A15Row {
   double seconds = 0;
   double slot_loads_per_pop = 0;
@@ -136,12 +136,11 @@ struct A15Row {
   bool exact = false;
 };
 
-A15Row measure_a15(bool hier) {
+A15Row measure_a15() {
   using DenseTask = Task<std::uint64_t, double>;
   StorageConfig cfg;
   cfg.k_max = 4096;
   cfg.default_k = 4096;
-  cfg.hierarchical_min = hier;
   StatsRegistry stats(1);
   CentralizedKpq<DenseTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
@@ -193,7 +192,7 @@ void emit_a15(const char* name, const A15Row& r) {
 }
 
 /// A16: DES floor cost — floor_loads_per_pop must be flat in the chain
-/// count with the min-index and ~chains without it.
+/// count.
 struct A16Row {
   std::uint64_t chains = 0;
   double seconds = 0;
@@ -203,14 +202,13 @@ struct A16Row {
   bool exact = false;
 };
 
-A16Row measure_a16(std::uint32_t chains, bool hier, std::size_t P) {
+A16Row measure_a16(std::uint32_t chains, std::size_t P) {
   DesParams p;
   p.chains = chains;
   p.stations = 64;
   p.horizon = 3.0;
   p.window = 4.0;
   p.seed = 1;
-  p.hierarchical_floor = hier;
   const DesOutcome oracle = des_sequential(p);
   StorageConfig cfg;
   cfg.k_max = 256;
@@ -565,15 +563,10 @@ int main(int argc, char** argv) {
   const auto multiq = measure("multiqueue", graphs, P, k);
   const auto ws_prio = measure("ws_priority", graphs, P, k);
   const auto ws_deque = measure("ws_deque", graphs, P, k);
-  // PR-2 ablation rows: the two hot-path mechanisms, toggled off, so
-  // the per-PR trajectory records both sides of each change.
+  // A10 ablation row: one-task publish runs next to the default batch.
   StorageConfig batch1;
   batch1.publish_batch = 1;
   const auto hybrid_b1 = measure("hybrid", graphs, P, k, batch1);
-  StorageConfig linear_scan;
-  linear_scan.occupancy_summary = false;
-  const auto central_linear = measure("centralized", graphs, P, k,
-                                      linear_scan);
 
   std::printf("{\n");
   std::printf("  \"workload\": {\"n\": %llu, \"p\": %.2f, \"graphs\": %llu, "
@@ -586,7 +579,6 @@ int main(int argc, char** argv) {
   emit("sequential_dijkstra", seq, false);
   emit("global_pq", global_pq, false);
   emit("centralized_kpq", central, false);
-  emit("centralized_kpq_linear_scan", central_linear, false);
   emit("hybrid_kpq", hybrid, false);
   emit("hybrid_kpq_batch1", hybrid_b1, false);
   emit("multiqueue", multiq, false);
@@ -688,48 +680,32 @@ int main(int argc, char** argv) {
         false);
   }
 
-  // PR-5 hierarchical min-index rows (A15 dense-window centralized pop,
-  // A16 DES chain scaling), each with its oracle/conservation verdict
-  // and an explicit machine-independent acceptance verdict.
+  // Hierarchical min-index rows (A15 dense-window centralized pop, A16
+  // DES chain scaling), each with its oracle/conservation verdict, plus
+  // the machine-independent A16 floor-cost verdict.
   {
     const std::uint64_t a16_big = args.value("a16-chains", 100000);
     std::printf("  \"hier_min\": {\n");
-    const A15Row a15_linear = measure_a15(false);
-    const A15Row a15_hier = measure_a15(true);
-    emit_a15("a15_central_dense_linear_scan", a15_linear);
-    emit_a15("a15_central_dense_hier", a15_hier);
-    const double ratio =
-        a15_hier.slot_loads_per_pop > 0
-            ? a15_linear.slot_loads_per_pop / a15_hier.slot_loads_per_pop
-            : 0.0;
-    std::printf("    \"a15_slot_load_ratio\": %.1f,\n", ratio);
-    std::printf("    \"a15_verdict_ge_4x\": %s,\n",
-                ratio >= 4.0 && a15_linear.exact && a15_hier.exact
-                    ? "true"
-                    : "false");
+    emit_a15("a15_central_dense_hier", measure_a15());
 
-    const A16Row a16_lin = measure_a16(4096, false, P);
-    const A16Row a16_small = measure_a16(4096, true, P);
+    const A16Row a16_small = measure_a16(4096, P);
     const A16Row a16_big_row =
-        measure_a16(static_cast<std::uint32_t>(a16_big), true, P);
-    emit_a16("a16_des_linear_c4096", a16_lin);
+        measure_a16(static_cast<std::uint32_t>(a16_big), P);
     emit_a16("a16_des_hier_c4096", a16_small);
     // Fixed key (chain count lives in the row): a chains-derived key
     // would collide with the c4096 row when --a16-chains is 4096 —
     // exactly what CI's smoke flags pass.
     emit_a16("a16_des_hier_scaled", a16_big_row);
-    // Floor cost independent of chain count: the big-chain hier row may
-    // not cost more than 2x the small one per pop (the linear scan grows
-    // ~24x over the same span).
+    // Floor cost independent of chain count: the big-chain row may not
+    // cost more than 2x the small one per pop (an O(chains) scan would
+    // grow ~24x over the default span).
     const bool flat =
         a16_small.floor_loads_per_pop > 0 &&
         a16_big_row.floor_loads_per_pop <=
             2.0 * a16_small.floor_loads_per_pop;
     std::printf("    \"a16_verdict_floor_cost_independent\": %s\n",
-                flat && a16_lin.exact && a16_small.exact &&
-                        a16_big_row.exact
-                    ? "true"
-                    : "false");
+                flat && a16_small.exact && a16_big_row.exact ? "true"
+                                                             : "false");
     std::printf("  },\n");
   }
 
@@ -856,11 +832,11 @@ int main(int argc, char** argv) {
     std::printf(
         "    \"tracing_enabled_overhead\": {\"ns_per_op_base\": %.1f, "
         "\"ns_per_op_enabled\": %.1f, \"overhead_pct\": %.2f, "
-        "\"delay_sample\": %d, "
+        "\"delay_stamp_period\": %u, "
         "\"trace_events\": %llu, \"trace_drops\": %llu, \"exact\": %s, "
         "\"verdict_lt_10pct\": %s}\n",
         en.ns_per_op_base, en.ns_per_op_obs, en_pct,
-        StorageConfig{}.delay_sample,
+        detail::kDelaySample,
         static_cast<unsigned long long>(en.trace_events),
         static_cast<unsigned long long>(en.trace_drops),
         en.exact ? "true" : "false", en_pct < 10.0 ? "true" : "false");
