@@ -5,7 +5,7 @@
 // storage's seam set is armed to fail with probability p, sweeping p
 // upward, and a fixed SSSP instance is solved at each point.  Each row
 // reports throughput (pops/s), the number of faults that actually fired,
-// the livelock-watchdog verdict, the task-conservation ledger, and
+// the telemetry stall-rule verdict, the task-conservation ledger, and
 // oracle exactness.  The acceptance claim is qualitative but strict:
 // throughput may sag as p grows, but every verdict column must stay
 // clean — an injected fault is a legal adversarial schedule, never an
@@ -17,7 +17,7 @@
 // per pop), so past 1x the storage runs pinned at its bound and the
 // overflow policy absorbs the excess.  Rows report delivered throughput,
 // the shed/reject counters, the ledger verdict (spawned = executed +
-// shed after the final drain), and the watchdog verdict.  Acceptance:
+// shed after the final drain), and the stall verdict.  Acceptance:
 // graceful to 4x — no collapse, no stall reports, ledger balanced.
 //
 //   ./fig9_degradation --P 2 --storage all
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "support/watchdog.hpp"
 
 namespace {
 
@@ -88,37 +87,11 @@ std::uint64_t total_fired() {
   return fired;
 }
 
-/// Watchdog wired to the registry's per-place progress counters — the
-/// same wiring fig9's prose documents: the hot path pays nothing beyond
-/// the counters it already maintains.
-class ScopedWatchdog {
- public:
-  ScopedWatchdog(const StatsRegistry& stats, std::size_t places)
-      : dog_(
-            [&stats, places] {
-              std::vector<std::uint64_t> v(places);
-              for (std::size_t p = 0; p < places; ++p) {
-                const PlaceStats s = stats.snapshot(p);
-                v[p] = s.get(Counter::tasks_executed) +
-                       s.get(Counter::tasks_spawned);
-              }
-              return v;
-            },
-            [this] { return running_.load(std::memory_order_acquire); },
-            std::chrono::milliseconds(25), /*stall_threshold=*/8) {
-    dog_.start();
-  }
-
-  WatchdogReport finish() {
-    running_.store(false, std::memory_order_release);
-    dog_.stop();
-    return dog_.report();
-  }
-
- private:
-  std::atomic<bool> running_{true};
-  Watchdog dog_;
-};
+/// Every sweep point runs under a Telemetry sampler whose stall rule
+/// reads the registry's per-place progress counters, so the hot path
+/// pays nothing beyond the counters it already maintains.
+constexpr std::chrono::milliseconds kStallPeriod{25};
+constexpr std::uint64_t kStallThreshold = 8;
 
 }  // namespace
 
@@ -179,9 +152,10 @@ int main(int argc, char** argv) {
         cfg.seed = seed;
         StatsRegistry stats(P);
         auto storage = make_storage<SsspTask>(name, P, cfg, &stats);
-        ScopedWatchdog dog(stats, P);
+        Telemetry sampler(&stats, kStallPeriod, kStallThreshold);
+        sampler.start();
         const SsspResult run = parallel_sssp(graph, 0, storage, k, &stats);
-        const WatchdogReport wd = dog.finish();
+        sampler.stop();
         const std::uint64_t fired = total_fired();
         fp::disarm_all();
         const PlaceStats agg = stats.total();
@@ -202,7 +176,7 @@ int main(int argc, char** argv) {
             run.seconds > 0 ? static_cast<double>(pops) / run.seconds
                             : 0.0,
             static_cast<unsigned long long>(fired),
-            static_cast<unsigned long long>(wd.stall_reports),
+            static_cast<unsigned long long>(sampler.stalls().stall_reports),
             ledger ? "ok" : "BROKEN",
             run.dist == truth ? "yes" : "NO");
       }
@@ -237,7 +211,8 @@ int main(int argc, char** argv) {
       cfg.seed = seed;
       StatsRegistry stats(P);
       auto storage = make_storage<SsspTask>(name, P, cfg, &stats);
-      ScopedWatchdog dog(stats, P);
+      Telemetry sampler(&stats, kStallPeriod, kStallThreshold);
+      sampler.start();
       std::atomic<std::uint64_t> popped{0};
       const auto t0 = std::chrono::steady_clock::now();
       auto worker = [&](std::size_t t) {
@@ -271,7 +246,7 @@ int main(int argc, char** argv) {
         }
       }
       const auto t1 = std::chrono::steady_clock::now();
-      const WatchdogReport wd = dog.finish();
+      sampler.stop();
       const double seconds =
           std::chrono::duration<double>(t1 - t0).count();
       const PlaceStats agg = stats.total();
@@ -295,9 +270,8 @@ int main(int argc, char** argv) {
               ? static_cast<double>(popped.load(std::memory_order_relaxed)) /
                     seconds
               : 0.0,
-          static_cast<unsigned long long>(wd.stall_reports), ledger
-              ? "ok"
-              : "BROKEN");
+          static_cast<unsigned long long>(sampler.stalls().stall_reports),
+          ledger ? "ok" : "BROKEN");
     }
   }
   std::printf("# expect: graceful to 4x — shed/rejected absorb the "

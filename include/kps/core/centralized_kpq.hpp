@@ -66,7 +66,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/lifecycle.hpp"
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
@@ -89,16 +88,12 @@
 namespace kps {
 
 template <typename TaskT>
-class CentralizedKpq
-    : public LifecycleOps<CentralizedKpq<TaskT>, TaskT> {
+class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
+  struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
     EpochThread epoch;
     std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
@@ -106,15 +101,12 @@ class CentralizedKpq
 
   CentralizedKpq(std::size_t places, StorageConfig cfg,
                  StatsRegistry* stats = nullptr)
-      : cfg_(cfg),
+      : StorageBase<CentralizedKpq, TaskT>(cfg),
         window_(static_cast<std::size_t>(std::max(cfg.k_max, 1))),
         summary_((window_.size() + 63) / 64),
         min_index_(summary_.size()),
         places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg, stats);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
+    this->init_places(places_, stats);
     // order: relaxed — constructor runs single-threaded; publication of
     // the whole object happens-before any concurrent use.
     for (auto& s : window_) s.store(nullptr, std::memory_order_relaxed);
@@ -131,7 +123,6 @@ class CentralizedKpq
 
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: the strict overflow heap — window
   /// tasks (the hot ≤ k_max set) are never shed, so at capacity the shed
@@ -139,37 +130,33 @@ class CentralizedKpq
   /// task itself while the overflow tier is empty).
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
+    if (this->gate_.at_capacity()) {
+      if (this->gate_.policy() == OverflowPolicy::reject) {
+        return this->reject_incoming(p);
       }
       // shed_lowest: trade against the overflow tier under its lock, so
       // the eviction and the replacement insert are one atomic step and
       // the resident count is untouched.
       overflow_lock_.lock();
-      if (detail::displace_worst(overflow_, task, this->ledger_, p, &out)) {
+      if (this->displace_worst(overflow_, task, p, &out)) {
         publish_overflow_min();
         overflow_lock_.unlock();
         return out;
       }
       overflow_lock_.unlock();
-      return detail::shed_incoming(p, std::move(task));
+      return this->shed_incoming(p, std::move(task));
     }
 
-    p.counters->inc(Counter::tasks_spawned);
     // Every path below admits the task (window slot or overflow heap).
-    detail::trace_ev(p, TraceEv::push);
+    this->admitted(p);
     const std::size_t window = window_size(k);
     auto* node = new Entry(this->ledger_.wrap(std::move(task), &out.handle));
     // No epoch pin here: push only loads slot pointers and CASes
     // nullptr->node, never dereferencing a node another thread may have
     // retired — only pop pays the pin fence.
     const std::size_t start =
-        cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
-    if (push_summary_guided(p, window, start, node)) {
-      gate_.add(1);
-      return out;
-    }
+        this->cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
+    if (push_summary_guided(p, window, start, node)) return out;
     // Window full: the task leaves the relaxed tier for the strict heap.
     // The wrapped entry moves tiers whole, keeping its handle redeemable.
     KPS_FAILPOINT("central.push.overflow");
@@ -177,7 +164,6 @@ class CentralizedKpq
     overflow_.push(std::move(*node));
     publish_overflow_min();
     overflow_lock_.unlock();
-    gate_.add(1);
     delete node;  // never published, nobody can hold a reference
     return out;
   }
@@ -231,20 +217,15 @@ class CentralizedKpq
                (!best ||
                 overflow_.top().task.priority < best->task.priority)) {
           Entry e = overflow_.pop();
-          gate_.add(-1);
           if (this->ledger_.claim_popped(e, p.index)) {
             taken = std::move(e.task);
             break;
           }
-          p.counters->inc(Counter::tombstones_reaped);
+          this->reaped(p);
         }
         publish_overflow_min();
         overflow_lock_.unlock();
-        if (taken) {
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return taken;
-        }
+        if (taken) return this->deliver(p, std::move(*taken));
         if (best) {
           p.counters->inc(Counter::overflow_stale);
         } else {
@@ -259,35 +240,31 @@ class CentralizedKpq
           window_[best_idx].compare_exchange_strong(
               expected, nullptr, std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
-        const bool live = this->ledger_.claim_popped(*best, p.index);
         std::optional<TaskT> out;
-        if (live) out = best->task;
+        if (this->ledger_.claim_popped(*best, p.index)) out = best->task;
         clear_bit_healed(best_idx);
         heal_word(p, best_idx / 64);
         p.epoch.retire(best,
                        [](void* ptr) { delete static_cast<Entry*>(ptr); });
-        gate_.add(-1);
-        if (live) {
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          // Sampled rank-error probe (PR 8): every rank_probe-th
-          // successful window claim measures how many published tasks
-          // strictly beat the one we took — A1's aggregate ratio as a
-          // live distribution.  Still inside the epoch guard, so the
-          // slot pointers the scan reads cannot be freed under it.
-          if (cfg_.rank_probe > 0 &&
-              ++p.rank_probe_tick >=
-                  static_cast<std::uint64_t>(cfg_.rank_probe)) {
-            p.rank_probe_tick = 0;
-            probe_rank(p, static_cast<double>(out->priority));
-          }
-          return out;
+        if (!out) {
+          // Tombstone reaped: that is progress, not a failed claim —
+          // spend a fresh attempt budget on the next-best candidate.
+          this->reaped(p);
+          attempt = -1;
+          continue;
         }
-        // Tombstone reaped: that is progress, not a failed claim — spend
-        // a fresh attempt budget on the next-best candidate.
-        p.counters->inc(Counter::tombstones_reaped);
-        attempt = -1;
-        continue;
+        // Sampled rank-error probe (PR 8): every rank_probe-th successful
+        // window claim measures how many published tasks strictly beat
+        // the one we took — A1's aggregate ratio as a live distribution.
+        // Still inside the epoch guard, so the slot pointers the scan
+        // reads cannot be freed under it.
+        if (this->cfg_.rank_probe > 0 &&
+            ++p.rank_probe_tick >=
+                static_cast<std::uint64_t>(this->cfg_.rank_probe)) {
+          p.rank_probe_tick = 0;
+          probe_rank(p, static_cast<double>(out->priority));
+        }
+        return this->deliver(p, std::move(*out));
       }
       p.counters->inc(Counter::pop_cas_failures);
     }
@@ -481,7 +458,7 @@ class CentralizedKpq
         }
       }
     }
-    cfg_.rank_error->record(p.index, rank);
+    this->cfg_.rank_error->record(p.index, rank);
   }
 
   std::size_t window_size(int k) const {
@@ -497,7 +474,6 @@ class CentralizedKpq
                         std::memory_order_release);
   }
 
-  StorageConfig cfg_;
   EpochDomain domain_;  // declared before places_: EpochThreads must die first
   std::vector<std::atomic<Entry*>> window_;
   std::vector<std::atomic<std::uint64_t>> summary_;  // 1 bit per window slot
@@ -506,9 +482,7 @@ class CentralizedKpq
   DaryHeap<Entry, detail::LcEntryLess, 4> overflow_
       KPS_GUARDED_BY(overflow_lock_);
   std::atomic<double> overflow_min_{kEmpty};
-  detail::CapacityGate gate_;
   std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

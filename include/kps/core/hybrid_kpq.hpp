@@ -57,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/lifecycle.hpp"
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
@@ -71,7 +70,7 @@
 namespace kps {
 
 template <typename TaskT>
-class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
+class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
@@ -99,10 +98,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     }
   };
 
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
+  struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
 
     // Private tier.  The lock is the owner's own cache line; spies only
@@ -172,19 +168,15 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   };
 
   HybridKpq(std::size_t places, StorageConfig cfg, StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
+      : StorageBase<HybridKpq, TaskT>(cfg), places_(places ? places : 1) {
+    this->init_places(places_, stats);
     for (Place& p : places_) {
-      p.inbox.init(static_cast<std::size_t>(cfg_.inbox_slots));
+      p.inbox.init(static_cast<std::size_t>(cfg.inbox_slots));
     }
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
   }
 
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: the pusher's own private heap only
   /// (the hot set it owns the lock for).  Folded segments are published
@@ -194,19 +186,18 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// touched, so a shed costs no cross-place coherence traffic.
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
+    if (this->gate_.at_capacity()) {
+      if (this->gate_.policy() == OverflowPolicy::reject) {
+        return this->reject_incoming(p);
       }
       p.private_lock.lock();
-      if (detail::displace_worst(p.private_heap, task, this->ledger_, p,
-                                 &out)) {
+      if (this->displace_worst(p.private_heap, task, p, &out)) {
         p.publish_private_min();
         p.private_lock.unlock();
         return out;
       }
       p.private_lock.unlock();
-      return detail::shed_incoming(p, std::move(task));
+      return this->shed_incoming(p, std::move(task));
     }
 
     push_accepted(p, k, std::move(task), &out.handle);
@@ -218,9 +209,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// immediately at k <= 0) the private heap is flushed as one ascending
   /// run and mailed out in publish_batch-sized segments.
   void push_accepted(Place& p, int k, TaskT task, TaskHandle* handle) {
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
-    gate_.add(1);
+    this->admitted(p);
     p.private_lock.lock();
     p.private_heap.push(this->ledger_.wrap(std::move(task), handle));
     ++p.pushes_since_publish;
@@ -229,7 +218,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     // stretches (more unpublished tasks) but no task is lost.
     const bool publish =
         (k <= 0 ||
-         (cfg_.structural_relaxation
+         (this->cfg_.structural_relaxation
               ? p.private_heap.size() >= static_cast<std::size_t>(k)
               : p.pushes_since_publish >= static_cast<std::uint64_t>(k))) &&
         !KPS_FAILPOINT_FAIL("hybrid.publish.attempt");
@@ -244,7 +233,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     p.pushes_since_publish = 0;
     p.publish_private_min();
     const auto batch = static_cast<std::size_t>(
-        cfg_.publish_batch > 1 ? cfg_.publish_batch : 1);
+        this->cfg_.publish_batch > 1 ? this->cfg_.publish_batch : 1);
     stage_mail_buffers(p, (p.flush_buf.size() + batch - 1) / batch);
     p.private_lock.unlock();
 
@@ -405,10 +394,9 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       p.publish_private_min();
       if (this->ledger_.claim_popped(e, p.index)) {
         p.private_lock.unlock();
-        return deliver(p, std::move(e.task));
+        return this->deliver(p, std::move(e.task));
       }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
+      this->reaped(p);
     }
     p.private_lock.unlock();
     // The loop ends with own tasks left only on a confirmed redirect, so
@@ -417,8 +405,10 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
 
     // Spy: the one cross-place pull, from the victim's whole
     // owner-folded store under the victim's private lock.
-    if (cfg_.enable_spying) {
-      if (auto out = spy(p, saw_tasks)) return deliver(p, std::move(*out));
+    if (this->cfg_.enable_spying) {
+      if (auto out = spy(p, saw_tasks)) {
+        return this->deliver(p, std::move(*out));
+      }
     }
 
     // The redirect raced away (or spying is off): our own tasks remain
@@ -427,7 +417,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       p.private_lock.lock();
       std::optional<TaskT> out = claim_live(p, p);
       p.private_lock.unlock();
-      if (out) return deliver(p, std::move(*out));
+      if (out) return this->deliver(p, std::move(*out));
     }
 
     // Classification: "contended" if any tier advertised tasks this place
@@ -526,7 +516,7 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
   /// so relaxation bounds and the advertised minimum are untouched.
   /// Caller refreshes the minima.
   void maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
-    const auto limit = static_cast<std::size_t>(cfg_.max_segments);
+    const auto limit = static_cast<std::size_t>(this->cfg_.max_segments);
     if (p.seg_index.size() <= limit) return;
     // Seam: stretch the spill critical section (private_lock held) so
     // racing spies pile up during the fold.
@@ -591,18 +581,9 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
       Entry e = claim_best(owner);
       owner.publish_private_min();
       if (this->ledger_.claim_popped(e, p.index)) return std::move(e.task);
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
+      this->reaped(p);
     }
     return std::nullopt;
-  }
-
-  /// Account one successful pop by `p`.
-  std::optional<TaskT> deliver(Place& p, TaskT&& task) {
-    gate_.add(-1);
-    p.counters->inc(Counter::tasks_executed);
-    detail::trace_ev(p, TraceEv::pop);
-    return std::move(task);
   }
 
   std::optional<TaskT> spy(Place& p, bool& saw_tasks) {
@@ -637,11 +618,8 @@ class HybridKpq : public LifecycleOps<HybridKpq<TaskT>, TaskT> {
     return out;
   }
 
-  StorageConfig cfg_;
   alignas(kCacheLine) std::atomic<double> global_pub_min_{kEmptyMin};
-  detail::CapacityGate gate_;
   std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

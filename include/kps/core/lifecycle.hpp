@@ -16,17 +16,19 @@
 //                   tombstone and is REAPED lazily by whichever pop path
 //                   eventually surfaces it (counter: tombstones_reaped).
 //   reprioritize  — decrease-key as tombstone + re-push: detach the live
-//                   block (same CAS as cancel, plus the block's task copy
-//                   comes back), then push the task again with the new
-//                   priority.  The ledger counts the detach as a cancel
-//                   and the re-push as a spawn, so the conservation
+//                   block (live -> detaching, copy the task out, then
+//                   detaching -> cancelled), then push the task again with
+//                   the new priority.  The ledger counts the detach as a
+//                   cancel and the re-push as a spawn, so the conservation
 //                   equation stays exact:
 //                       spawned == executed + shed + cancelled.
 //   claim         — the pop-side gate: every storage, after winning
 //                   exclusive ownership of an entry (heap pop, slot CAS,
 //                   deque pop, segment-head advance), claims the block.
 //                   live -> the popper owns the task; cancelled -> the
-//                   entry is reaped in place and the pop keeps scanning.
+//                   entry is reaped in place and the pop keeps scanning;
+//                   detaching -> the popper yields until the detacher's
+//                   copy is done (cancelled), then reaps.
 //
 // Memory reclamation: blocks are type-stable — owned by the ledger's
 // chunked pool for the storage's whole lifetime and recycled through a
@@ -51,6 +53,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -59,7 +62,6 @@
 #include "support/spinlock.hpp"
 #include "support/stats.hpp"
 #include "support/thread_safety.hpp"
-#include "support/trace.hpp"
 
 namespace kps {
 
@@ -124,6 +126,7 @@ namespace detail {
 inline constexpr std::uint64_t kLcFree = 0;       // on the free list
 inline constexpr std::uint64_t kLcLive = 1;       // resident, claimable
 inline constexpr std::uint64_t kLcCancelled = 2;  // tombstone, awaiting reap
+inline constexpr std::uint64_t kLcDetaching = 3;  // detach copying the task
 inline constexpr std::uint64_t kLcStateMask = 3;
 
 // Queue-delay stamping period: each thread stamps 1 in kDelaySample of
@@ -133,7 +136,7 @@ inline constexpr std::uint32_t kDelaySample = 8;
 /// One pooled control block.  Cache-line sized so a cancel's CAS never
 /// false-shares with a neighbouring block's claim.  `task` is the copy
 /// reprioritize re-pushes (written only before the live-publishing
-/// store, read only after a successful detach CAS).
+/// store, read only while the detacher holds the block in kLcDetaching).
 template <typename TaskT>
 struct alignas(kCacheLine) LifecycleNode {
   std::atomic<std::uint64_t> word{0};
@@ -224,9 +227,10 @@ class LifecycleLedger {
   }
 
   /// Reprioritize's first half: tombstone the live residency AND take
-  /// the task copy for the re-push.  The copy is read only after the
-  /// winning CAS, and the block cannot be recycled until its entry is
-  /// reaped, so the read is race-free.
+  /// the task copy for the re-push.  The winning CAS parks the block in
+  /// kLcDetaching, and only the release store of kLcCancelled after the
+  /// copy lets a claimer reap it: a reap that raced straight to recycle
+  /// would let another thread's wrap overwrite the task mid-copy.
   std::optional<TaskT> detach(TaskHandle h) {
     if (!enabled_ || !h.valid()) return std::nullopt;
     if (KPS_FAILPOINT_FAIL("lifecycle.cancel")) return std::nullopt;
@@ -235,12 +239,17 @@ class LifecycleLedger {
     // order: relaxed (failure) — a lost detach reads nothing; success is
     // acq_rel so the winner's read of n->task sees wrap()'s copy.
     if (!n->word.compare_exchange_strong(expected,
-                                         (h.gen << 2) | kLcCancelled,
+                                         (h.gen << 2) | kLcDetaching,
                                          std::memory_order_acq_rel,
                                          std::memory_order_relaxed)) {
       return std::nullopt;
     }
-    return n->task;
+    // Seam: the window between the CAS and the copy, where a popper can
+    // surface the tombstone (the detach-race regression test parks here).
+    KPS_FAILPOINT("lifecycle.detach");
+    TaskT task = n->task;
+    n->word.store((h.gen << 2) | kLcCancelled, std::memory_order_release);
+    return task;
   }
 
   /// Pop-side gate, called by the entry's exclusive owner.  True: the
@@ -260,6 +269,12 @@ class LifecycleLedger {
         recycle(n);
         return true;
       }
+    }
+    // A detach is still copying the task out: wait for its release
+    // store, or the recycled block could be re-wrapped under the copy.
+    while ((w & kLcStateMask) == kLcDetaching) {
+      std::this_thread::yield();
+      w = n->word.load(std::memory_order_acquire);
     }
     // Tombstone: the canceller already accounted for the task's exit;
     // this owner just frees the residency.
@@ -404,54 +419,6 @@ class LifecycleLedger {
 struct StorageCaps {
   bool cancel = false;
   bool reprioritize = false;
-};
-
-/// CRTP mixin providing the lifecycle surface of the TaskStorage
-/// concept.  Derived supplies try_push/config(); the mixin owns the
-/// ledger and the shared cancel/reprioritize logic, so the six storages
-/// do not each re-implement the state machine.
-template <typename Derived, typename TaskT, bool kCancel = true,
-          bool kReprioritize = true>
-class LifecycleOps {
- public:
-  static constexpr StorageCaps kCaps{kCancel, kReprioritize};
-
-  StorageCaps caps() const { return kCaps; }
-  bool lifecycle_enabled() const { return ledger_.enabled(); }
-
-  /// O(1) tombstone cancel; the entry is reaped by a later pop.  Counts
-  /// tasks_cancelled on the calling place.  The capacity gate is NOT
-  /// touched here — the residency is released at reap time.
-  template <typename PlaceT>
-  bool cancel(PlaceT& p, TaskHandle h) {
-    if (!ledger_.cancel(h)) return false;
-    p.counters->inc(Counter::tasks_cancelled);
-    detail::trace_ev(p, TraceEv::cancel, kCancelPlain);
-    return true;
-  }
-
-  /// Decrease-key (or any re-key) as tombstone + re-push.  The detach
-  /// counts as a cancel and the re-push as a spawn, keeping the ledger
-  /// equation exact; the re-push obeys capacity policy like any push
-  /// (see ReprioritizeOutcome for the caller's accounting contract).
-  template <typename PlaceT, typename PrioT>
-  ReprioritizeOutcome<TaskT> reprioritize(PlaceT& p, TaskHandle h,
-                                          PrioT priority) {
-    ReprioritizeOutcome<TaskT> out;
-    std::optional<TaskT> task = ledger_.detach(h);
-    if (!task.has_value()) return out;
-    out.detached = true;
-    p.counters->inc(Counter::tasks_cancelled);
-    detail::trace_ev(p, TraceEv::cancel, kCancelRekey);
-    task->priority = priority;
-    auto* self = static_cast<Derived*>(this);
-    out.requeue =
-        self->try_push(p, self->config().default_k, std::move(*task));
-    return out;
-  }
-
- protected:
-  detail::LifecycleLedger<TaskT> ledger_;
 };
 
 }  // namespace kps

@@ -11,11 +11,9 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/lifecycle.hpp"
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
@@ -29,51 +27,43 @@
 namespace kps {
 
 template <typename TaskT>
-class MultiQueuePool
-    : public LifecycleOps<MultiQueuePool<TaskT>, TaskT> {
+class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
+  struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
   };
 
   MultiQueuePool(std::size_t places, StorageConfig cfg,
                  StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
+      : StorageBase<MultiQueuePool, TaskT>(cfg), places_(places ? places : 1) {
+    this->init_places(places_, stats);
     queues_ = std::vector<Queue>(places_.size() * kQueuesPerPlace);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
   }
 
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: one uniformly random queue (the
   /// same distribution an admit would have landed in), traded under a
   /// blocking lock — the shed path is off the fast path by construction.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
+    if (this->gate_.at_capacity()) {
+      if (this->gate_.policy() == OverflowPolicy::reject) {
+        return this->reject_incoming(p);
       }
       Queue& q = queues_[p.rng.next_bounded(queues_.size())];
       q.lock.lock();
-      if (detail::displace_worst(q.heap, task, this->ledger_, p, &out)) {
+      if (this->displace_worst(q.heap, task, p, &out)) {
         q.publish_top();
         q.lock.unlock();
         return out;
       }
       q.lock.unlock();
-      return detail::shed_incoming(p, std::move(task));
+      return this->shed_incoming(p, std::move(task));
     }
 
     // Bounded retry (the PR-6 livelock fix): the old `while (true)
@@ -92,9 +82,7 @@ class MultiQueuePool
       q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
       q.publish_top();
       q.lock.unlock();
-      gate_.add(1);
-      p.counters->inc(Counter::tasks_spawned);
-      detail::trace_ev(p, TraceEv::push);
+      this->admitted(p);
       return out;
     }
     Queue& q = queues_[p.rng.next_bounded(queues_.size())];
@@ -102,9 +90,7 @@ class MultiQueuePool
     q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
     q.publish_top();
     q.lock.unlock();
-    gate_.add(1);
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
+    this->admitted(p);
     return out;
   }
 
@@ -124,10 +110,7 @@ class MultiQueuePool
       saw_tasks = true;
       Queue& q = queues_[ta <= tb ? a : b];
       if (auto out = try_pop_queue(q, p)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
+        return this->deliver(p, std::move(*out));
       }
     }
     for (Queue& q : queues_) {
@@ -135,10 +118,7 @@ class MultiQueuePool
         saw_tasks = true;
       }
       if (auto out = try_pop_queue(q, p)) {
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return out;
+        return this->deliver(p, std::move(*out));
       }
     }
     // "Contended" = some queue advertised tasks but every claim attempt
@@ -174,27 +154,14 @@ class MultiQueuePool
       return std::nullopt;
     }
     if (!q.lock.try_lock()) return std::nullopt;
-    std::optional<TaskT> out;
-    while (!q.heap.empty()) {
-      Entry e = q.heap.pop();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        out = std::move(e.task);
-        break;
-      }
-      // Tombstone: free the residency and keep draining this queue.
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+    std::optional<TaskT> out = this->pop_live(q.heap, p);
     q.publish_top();
     q.lock.unlock();
     return out;
   }
 
-  StorageConfig cfg_;
   std::vector<Queue> queues_;
-  detail::CapacityGate gate_;
   std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

@@ -13,7 +13,7 @@
 // Error model: an unknown name throws std::invalid_argument from
 // make_storage (try_make_storage returns nullopt instead, for callers
 // probing availability); an invalid StorageConfig throws from the
-// storage constructor itself (detail::require_valid), regardless of
+// storage constructor itself (StorageBase::init_places), regardless of
 // which path built it.
 #pragma once
 

@@ -1,5 +1,6 @@
-// Shared configuration and the TaskStorage concept every scheduler-side
-// structure models (see DESIGN.md for the storage taxonomy).
+// Shared configuration, the TaskStorage concept every scheduler-side
+// structure models, and StorageBase, the accounting base all six
+// storages derive from (see DESIGN.md for the storage taxonomy).
 //
 // All storages share the same shape (PR 7 collapsed the push/try_push
 // split: PushOutcome-returning try_push is the single entrypoint, and
@@ -219,122 +220,228 @@ class CapacityGate {
   std::atomic<std::int64_t> size_{0};
 };
 
-/// Storages accept an optional external StatsRegistry; standalone uses
-/// (micro benches) get a private one.
-inline StatsRegistry* resolve_stats(std::size_t places, StatsRegistry* stats,
-                                    std::unique_ptr<StatsRegistry>& owned) {
-  if (stats) return stats;
-  owned = std::make_unique<StatsRegistry>(places);
-  return owned.get();
-}
-
-/// Shared fail-fast gate: every storage constructor funnels its config
-/// through here (via init_places), so a bad config can never silently
-/// reshape a structure mid-experiment.
-inline void require_valid(const StorageConfig& cfg) {
-  const std::string err = cfg.validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("StorageConfig: " + err);
-  }
-}
-
-/// Common Place wiring shared by every storage: index, counter block, and
-/// (where the Place has one) a per-place RNG stream derived from the
-/// config seed.  Also the shared validation choke point — every storage
-/// calls this exactly once, from its constructor.
-template <typename PlaceVec>
-void init_places(PlaceVec& places, const StorageConfig& cfg,
-                 StatsRegistry* stats) {
-  require_valid(cfg);
-  // An undersized tracer would make place i emit on a ring it doesn't
-  // own (or out of bounds) — reject at construction, not at emit time.
-  if (cfg.trace != nullptr && cfg.trace->places() < places.size()) {
-    throw std::invalid_argument(
-        "StorageConfig: tracer covers " +
-        std::to_string(cfg.trace->places()) + " places, storage has " +
-        std::to_string(places.size()));
-  }
-  for (std::size_t i = 0; i < places.size(); ++i) {
-    places[i].index = i;
-    places[i].counters = &stats->place(i);
-    if constexpr (requires { places[i].rng; }) {
-      places[i].rng = Xoshiro256(cfg.seed * 0x9e37 + i + 1);
-    }
-    if constexpr (requires { places[i].trace; }) {
-      places[i].trace = cfg.trace;
-    }
-  }
-}
-
-/// The shared at-capacity epilogues every storage used to duplicate
-/// (PR-6 grew six near-identical ~25-line blocks; PR 7 folds them here).
-/// All three leave counter accounting exactly as the per-storage copies
-/// did, so the conservation ledger is unchanged.
-
-/// Reject policy: refuse the incoming task.
-template <typename TaskT, typename PlaceT>
-PushOutcome<TaskT> reject_incoming(PlaceT& p) {
-  p.counters->inc(Counter::push_rejected);
-  trace_ev(p, TraceEv::shed, kShedRejected);
-  PushOutcome<TaskT> out;
-  out.accepted = false;
-  return out;
-}
-
-/// Shed-lowest when the incoming task loses (or the shed tier cannot
-/// rank it): the incoming task is counted as spawned-then-shed so the
-/// ledger still balances.
-template <typename PlaceT, typename TaskT>
-PushOutcome<TaskT> shed_incoming(PlaceT& p, TaskT task) {
-  p.counters->inc(Counter::tasks_spawned);
-  p.counters->inc(Counter::tasks_shed);
-  trace_ev(p, TraceEv::shed, kShedIncoming);
-  PushOutcome<TaskT> out;
-  out.accepted = false;
-  out.shed = std::move(task);
-  return out;
-}
-
-/// Shed-lowest displacement against a locked heap of LcEntry: if the
-/// incoming task beats the tier's worst resident, evict that resident
-/// and admit the incoming task in its place (net resident count — and
-/// therefore the capacity gate — unchanged).  Returns false when the
-/// tier is empty or the incoming task does not beat the worst (caller
-/// falls back to shed_incoming).  Must be called with the heap's lock
-/// held.
-///
-/// Lifecycle interaction: the evicted resident is claimed exactly like
-/// a pop.  A live resident comes back through out->shed (counted
-/// tasks_shed, and the caller's runner pays its pending debt); a
-/// tombstoned resident is REAPED instead — the cancel already
-/// accounted for its exit, so shed stays empty and only
-/// tombstones_reaped ticks.  Either way the displaced slot's residency
-/// ends here, which is why the gate needs no adjustment.
-///
-/// `task` is taken by reference and consumed ONLY on a true return —
-/// a false return leaves it untouched for the caller's shed_incoming.
-template <typename Heap, typename TaskT, typename PlaceT>
-bool displace_worst(Heap& heap, TaskT& task,
-                    detail::LifecycleLedger<TaskT>& ledger,
-                    PlaceT& p, PushOutcome<TaskT>* out) {
-  if (heap.empty()) return false;
-  const std::size_t worst = heap.worst_index();
-  if (!(task.priority < heap.at(worst).task.priority)) return false;
-  LcEntry<TaskT> evicted = heap.extract_at(worst);
-  heap.push(ledger.wrap(std::move(task), &out->handle));
-  p.counters->inc(Counter::tasks_spawned);
-  trace_ev(p, TraceEv::push);
-  if (ledger.claim(evicted)) {
-    p.counters->inc(Counter::tasks_shed);
-    trace_ev(p, TraceEv::shed, kShedDisplaced);
-    out->shed = std::move(evicted.task);
-  } else {
-    p.counters->inc(Counter::tombstones_reaped);
-  }
-  return true;
-}
+/// The fields every storage's Place starts with, wired by
+/// StorageBase::init_places: the place index, its counter block, and the
+/// tracer it emits on (null when tracing is off).
+struct PlaceBase {
+  std::size_t index = 0;
+  PlaceCounters* counters = nullptr;
+  Tracer* trace = nullptr;
+};
 
 }  // namespace detail
+
+// The accounting helpers below sit on every storage's owner fast path;
+// an out-of-line copy there costs a call per push/pop, so they are
+// forced inline rather than left to the inliner's budget.
+#if defined(__GNUC__) || defined(__clang__)
+#define KPS_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define KPS_ALWAYS_INLINE
+#endif
+
+/// What the six storages share, whatever their tiers: the config, the
+/// capacity gate, the lifecycle ledger, the (optionally owned) stats, the
+/// lifecycle surface of the TaskStorage concept, and the only copy of the
+/// task-conservation bookkeeping.  Every residency starts with
+/// admitted() and ends with deliver(), reaped(), or a displacement, so
+///     spawned == executed + shed + cancelled
+/// and the gate's resident count are kept in one place.  Derived (CRTP)
+/// supplies try_push and keeps its own Place vector, because only it
+/// knows which of its members the places must die before (the
+/// centralized storage's EpochThreads, before its EpochDomain).
+template <typename Derived, typename TaskT, bool kCancel = true,
+          bool kReprioritize = true>
+class StorageBase {
+ public:
+  static constexpr StorageCaps kCaps{kCancel, kReprioritize};
+
+  const StorageConfig& config() const { return cfg_; }
+  StorageCaps caps() const { return kCaps; }
+  bool lifecycle_enabled() const { return ledger_.enabled(); }
+
+  /// O(1) tombstone cancel; the entry is reaped by a later pop.  Counts
+  /// tasks_cancelled on the calling place.  The capacity gate is NOT
+  /// touched here — the residency is released at reap time.
+  template <typename PlaceT>
+  bool cancel(PlaceT& p, TaskHandle h) {
+    if (!ledger_.cancel(h)) return false;
+    p.counters->inc(Counter::tasks_cancelled);
+    detail::trace_ev(p, TraceEv::cancel, kCancelPlain);
+    return true;
+  }
+
+  /// Decrease-key (or any re-key) as tombstone + re-push.  The detach
+  /// counts as a cancel and the re-push as a spawn, keeping the ledger
+  /// equation exact; the re-push obeys capacity policy like any push
+  /// (see ReprioritizeOutcome for the caller's accounting contract).  A
+  /// storage without the capability detaches nothing.
+  template <typename PlaceT, typename PrioT>
+  ReprioritizeOutcome<TaskT> reprioritize(PlaceT& p, TaskHandle h,
+                                          PrioT priority) {
+    ReprioritizeOutcome<TaskT> out;
+    if constexpr (kReprioritize) {
+      std::optional<TaskT> task = ledger_.detach(h);
+      if (!task.has_value()) return out;
+      out.detached = true;
+      p.counters->inc(Counter::tasks_cancelled);
+      detail::trace_ev(p, TraceEv::cancel, kCancelRekey);
+      task->priority = priority;
+      out.requeue = static_cast<Derived*>(this)->try_push(
+          p, cfg_.default_k, std::move(*task));
+    }
+    return out;
+  }
+
+ protected:
+  /// The fail-fast choke point every storage constructor calls exactly
+  /// once: validate the config (so a bad one can never silently reshape
+  /// a structure mid-experiment), fall back to an owned StatsRegistry
+  /// when the caller passed none (micro benches), and wire each place's
+  /// PlaceBase fields plus, where the Place has one, an RNG stream
+  /// derived from the config seed.
+  template <typename PlaceVec>
+  void init_places(PlaceVec& places, StatsRegistry* stats) {
+    const std::string err = cfg_.validate();
+    if (!err.empty()) {
+      throw std::invalid_argument("StorageConfig: " + err);
+    }
+    // An undersized tracer would make place i emit on a ring it doesn't
+    // own (or out of bounds) — reject at construction, not at emit time.
+    if (cfg_.trace != nullptr && cfg_.trace->places() < places.size()) {
+      throw std::invalid_argument(
+          "StorageConfig: tracer covers " +
+          std::to_string(cfg_.trace->places()) + " places, storage has " +
+          std::to_string(places.size()));
+    }
+    if (stats == nullptr) {
+      owned_stats_ = std::make_unique<StatsRegistry>(places.size());
+      stats = owned_stats_.get();
+    }
+    for (std::size_t i = 0; i < places.size(); ++i) {
+      places[i].index = i;
+      places[i].counters = &stats->place(i);
+      places[i].trace = cfg_.trace;
+      if constexpr (requires { places[i].rng; }) {
+        places[i].rng = Xoshiro256(cfg_.seed * 0x9e37 + i + 1);
+      }
+    }
+  }
+
+  /// The task entered the storage: +1 resident.
+  template <typename PlaceT>
+  KPS_ALWAYS_INLINE void admitted(PlaceT& p) {
+    gate_.add(1);
+    p.counters->inc(Counter::tasks_spawned);
+    detail::trace_ev(p, TraceEv::push);
+  }
+
+  /// The task leaves as a successful pop by `p`: -1 resident.
+  template <typename PlaceT>
+  KPS_ALWAYS_INLINE std::optional<TaskT> deliver(PlaceT& p, TaskT&& task) {
+    gate_.add(-1);
+    p.counters->inc(Counter::tasks_executed);
+    detail::trace_ev(p, TraceEv::pop);
+    return std::move(task);
+  }
+
+  /// A tombstone surfaced and was freed by `p`: its cancel already
+  /// accounted for the task's exit, so only the residency ends here.
+  template <typename PlaceT>
+  KPS_ALWAYS_INLINE void reaped(PlaceT& p) {
+    p.counters->inc(Counter::tombstones_reaped);
+    gate_.add(-1);
+  }
+
+  /// Pop `heap` until a live claim, reaping the tombstones on the way;
+  /// nullopt once the heap is drained.  Runs under the heap's lock.  The
+  /// caller delivers the returned task.
+  template <typename Heap, typename PlaceT>
+  KPS_ALWAYS_INLINE std::optional<TaskT> pop_live(Heap& heap, PlaceT& p) {
+    while (!heap.empty()) {
+      detail::LcEntry<TaskT> e = heap.pop();
+      if (ledger_.claim_popped(e, p.index)) return std::move(e.task);
+      reaped(p);
+    }
+    return std::nullopt;
+  }
+
+  // The at-capacity epilogues, one copy for all six storages.
+
+  /// Reject policy: refuse the incoming task.
+  template <typename PlaceT>
+  PushOutcome<TaskT> reject_incoming(PlaceT& p) {
+    p.counters->inc(Counter::push_rejected);
+    detail::trace_ev(p, TraceEv::shed, kShedRejected);
+    PushOutcome<TaskT> out;
+    out.accepted = false;
+    return out;
+  }
+
+  /// Shed-lowest when the incoming task loses (or the shed tier cannot
+  /// rank it): the incoming task is counted as spawned-then-shed so the
+  /// ledger still balances.
+  template <typename PlaceT>
+  PushOutcome<TaskT> shed_incoming(PlaceT& p, TaskT task) {
+    p.counters->inc(Counter::tasks_spawned);
+    p.counters->inc(Counter::tasks_shed);
+    detail::trace_ev(p, TraceEv::shed, kShedIncoming);
+    PushOutcome<TaskT> out;
+    out.accepted = false;
+    out.shed = std::move(task);
+    return out;
+  }
+
+  /// Shed-lowest displacement against a locked heap of LcEntry: if the
+  /// incoming task beats the tier's worst resident, evict that resident
+  /// and admit the incoming task in its place.  Returns false when the
+  /// tier is empty or the incoming task does not beat the worst (caller
+  /// falls back to shed_incoming).  Must be called with the heap's lock
+  /// held.
+  ///
+  /// Lifecycle interaction: the evicted resident is claimed exactly like
+  /// a pop.  A live resident comes back through out->shed (counted
+  /// tasks_shed, and the caller's runner pays its pending debt); a
+  /// tombstoned resident is REAPED instead — the cancel already
+  /// accounted for its exit, so shed stays empty.  Either way one
+  /// residency ends for the one admitted, so the gate nets to zero.
+  ///
+  /// `task` is taken by reference and consumed ONLY on a true return —
+  /// a false return leaves it untouched for the caller's shed_incoming.
+  template <typename Heap, typename PlaceT>
+  bool displace_worst(Heap& heap, TaskT& task, PlaceT& p,
+                      PushOutcome<TaskT>* out) {
+    if (heap.empty()) return false;
+    const std::size_t worst = heap.worst_index();
+    if (!(task.priority < heap.at(worst).task.priority)) return false;
+    detail::LcEntry<TaskT> evicted = heap.extract_at(worst);
+    heap.push(ledger_.wrap(std::move(task), &out->handle));
+    admitted(p);
+    if (ledger_.claim(evicted)) {
+      gate_.add(-1);
+      p.counters->inc(Counter::tasks_shed);
+      detail::trace_ev(p, TraceEv::shed, kShedDisplaced);
+      out->shed = std::move(evicted.task);
+    } else {
+      reaped(p);
+    }
+    return true;
+  }
+
+  StorageConfig cfg_;
+  detail::CapacityGate gate_;
+  detail::LifecycleLedger<TaskT> ledger_;
+
+ private:
+  // Only the storage named in the template argument can build its base.
+  friend Derived;
+  explicit StorageBase(const StorageConfig& cfg) : cfg_(cfg) {
+    gate_.init(cfg_);
+    ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
+  }
+
+  std::unique_ptr<StatsRegistry> owned_stats_;
+};
 
 template <typename S>
 concept TaskStorage = requires(S s, const S cs, typename S::task_type task,

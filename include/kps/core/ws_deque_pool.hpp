@@ -8,16 +8,15 @@
 // everywhere else), but reprioritize is refused by capability — a
 // priority-oblivious deque cannot move a task to a new schedule
 // position, so advertising decrease-key would be a lie.  caps().
-// reprioritize is false and the method is a documented no-op.
+// reprioritize is false and StorageBase makes the method a no-op: the
+// task keeps its place in the deque.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/lifecycle.hpp"
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "support/failpoint.hpp"
@@ -30,16 +29,13 @@ namespace kps {
 
 template <typename TaskT>
 class WsDequePool
-    : public LifecycleOps<WsDequePool<TaskT>, TaskT, /*kCancel=*/true,
-                          /*kReprioritize=*/false> {
+    : public StorageBase<WsDequePool<TaskT>, TaskT, /*kCancel=*/true,
+                         /*kReprioritize=*/false> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
+  struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
     Spinlock lock;
     std::deque<Entry> deque KPS_GUARDED_BY(lock);  // owner: back; thieves: front
@@ -50,23 +46,13 @@ class WsDequePool
 
   WsDequePool(std::size_t places, StorageConfig cfg,
               StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
+      : StorageBase<WsDequePool, TaskT, true, false>(cfg),
+        places_(places ? places : 1) {
+    this->init_places(places_, stats);
   }
 
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
-
-  /// Capability-refused: see the header comment.  Nothing is detached and
-  /// the task keeps its place in the deque.
-  template <typename PlaceT, typename PrioT>
-  ReprioritizeOutcome<TaskT> reprioritize(PlaceT&, TaskHandle, PrioT) {
-    return {};
-  }
 
   /// Capacity-aware push.  The deque is priority-oblivious, so there is
   /// no "worst resident" to trade against: shed_lowest degenerates to
@@ -74,39 +60,33 @@ class WsDequePool
   /// A5 control — it cannot rank what it does not order.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
+    if (this->gate_.at_capacity()) {
+      if (this->gate_.policy() == OverflowPolicy::reject) {
+        return this->reject_incoming(p);
       }
-      return detail::shed_incoming(p, std::move(task));
+      return this->shed_incoming(p, std::move(task));
     }
     p.lock.lock();
     p.deque.push_back(this->ledger_.wrap(std::move(task), &out.handle));
     p.lock.unlock();
-    gate_.add(1);
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
+    this->admitted(p);
     return out;
   }
 
   std::optional<TaskT> pop(Place& p) {
-    bool saw_tasks = false;
     p.lock.lock();
     while (!p.deque.empty()) {
       Entry e = std::move(p.deque.back());
       p.deque.pop_back();
       if (this->ledger_.claim_popped(e, p.index)) {
         p.lock.unlock();
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return std::move(e.task);
+        return this->deliver(p, std::move(e.task));
       }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
+      this->reaped(p);
     }
     p.lock.unlock();
 
+    bool saw_tasks = false;
     const std::size_t n = places_.size();
     if (n > 1) {
       const std::size_t start = p.rng.next_bounded(n);
@@ -115,10 +95,7 @@ class WsDequePool
         if (victim.index == p.index) continue;
         p.counters->inc(Counter::steal_attempts);
         if (auto out = steal_from(p, victim, saw_tasks)) {
-          gate_.add(-1);
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return out;
+          return this->deliver(p, std::move(*out));
         }
       }
     }
@@ -145,15 +122,14 @@ class WsDequePool
         out = std::move(e.task);
         break;
       }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
+      this->reaped(p);
     }
     if (!out) {
       victim.lock.unlock();
       return out;
     }
     std::size_t stolen = 1;
-    if (cfg_.steal_half) {
+    if (this->cfg_.steal_half) {
       // Move (half - 1) more entries from the victim's steal end; their
       // control blocks migrate with them, so handles stay redeemable.
       std::size_t extra = victim.deque.size() / 2;
@@ -179,10 +155,7 @@ class WsDequePool
     return out;
   }
 
-  StorageConfig cfg_;
-  detail::CapacityGate gate_;
   std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

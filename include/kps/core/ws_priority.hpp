@@ -15,11 +15,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/lifecycle.hpp"
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
@@ -32,16 +30,12 @@
 namespace kps {
 
 template <typename TaskT>
-class WsPriorityPool
-    : public LifecycleOps<WsPriorityPool<TaskT>, TaskT> {
+class WsPriorityPool : public StorageBase<WsPriorityPool<TaskT>, TaskT> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
-  struct alignas(kCacheLine) Place {
-    std::size_t index = 0;
-    PlaceCounters* counters = nullptr;
-    Tracer* trace = nullptr;
+  struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
     Spinlock lock;
     DaryHeap<Entry, detail::LcEntryLess, 4> heap KPS_GUARDED_BY(lock);
@@ -52,61 +46,45 @@ class WsPriorityPool
 
   WsPriorityPool(std::size_t places, StorageConfig cfg,
                  StatsRegistry* stats = nullptr)
-      : cfg_(cfg), places_(places ? places : 1) {
-    stats = detail::resolve_stats(places_.size(), stats, owned_stats_);
-    detail::init_places(places_, cfg_, stats);
-    gate_.init(cfg_);
-    this->ledger_.init(cfg_.enable_lifecycle, cfg_.queue_delay);
+      : StorageBase<WsPriorityPool, TaskT>(cfg), places_(places ? places : 1) {
+    this->init_places(places_, stats);
   }
 
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
-  const StorageConfig& config() const { return cfg_; }
 
   /// Capacity-aware push.  Shed tier: the pushing place's own heap — the
   /// only structure it can inspect without cross-place locking, and where
   /// the task would have lived anyway.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
-    if (gate_.at_capacity()) {
-      if (gate_.policy() == OverflowPolicy::reject) {
-        return detail::reject_incoming<TaskT>(p);
+    if (this->gate_.at_capacity()) {
+      if (this->gate_.policy() == OverflowPolicy::reject) {
+        return this->reject_incoming(p);
       }
       p.lock.lock();
-      if (detail::displace_worst(p.heap, task, this->ledger_, p, &out)) {
+      if (this->displace_worst(p.heap, task, p, &out)) {
         p.lock.unlock();
         return out;
       }
       p.lock.unlock();
-      return detail::shed_incoming(p, std::move(task));
+      return this->shed_incoming(p, std::move(task));
     }
     p.lock.lock();
     p.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
     p.lock.unlock();
-    gate_.add(1);
-    p.counters->inc(Counter::tasks_spawned);
-    detail::trace_ev(p, TraceEv::push);
+    this->admitted(p);
     return out;
   }
 
   std::optional<TaskT> pop(Place& p) {
-    bool saw_tasks = false;
     p.lock.lock();
-    while (!p.heap.empty()) {
-      Entry e = p.heap.pop();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        p.lock.unlock();
-        gate_.add(-1);
-        p.counters->inc(Counter::tasks_executed);
-        detail::trace_ev(p, TraceEv::pop);
-        return std::move(e.task);
-      }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+    std::optional<TaskT> own = this->pop_live(p.heap, p);
     p.lock.unlock();
+    if (own) return this->deliver(p, std::move(*own));
 
     // Steal round: probe every other place once, in random order.
+    bool saw_tasks = false;
     const std::size_t n = places_.size();
     if (n > 1) {
       const std::size_t start = p.rng.next_bounded(n);
@@ -115,10 +93,7 @@ class WsPriorityPool
         if (victim.index == p.index) continue;
         p.counters->inc(Counter::steal_attempts);
         if (auto out = steal_from(p, victim, saw_tasks)) {
-          gate_.add(-1);
-          p.counters->inc(Counter::tasks_executed);
-          detail::trace_ev(p, TraceEv::pop);
-          return out;
+          return this->deliver(p, std::move(*out));
         }
       }
     }
@@ -140,7 +115,7 @@ class WsPriorityPool
       return std::nullopt;
     }
     saw_tasks = true;
-    if (cfg_.steal_half && victim.heap.size() > 1) {
+    if (this->cfg_.steal_half && victim.heap.size() > 1) {
       p.loot.clear();
       victim.heap.extract_half(p.loot);
       victim.lock.unlock();
@@ -150,31 +125,13 @@ class WsPriorityPool
                        static_cast<std::uint32_t>(victim.index));
       p.lock.lock();
       for (Entry& e : p.loot) p.heap.push(e);
-      std::optional<TaskT> out;
-      while (!p.heap.empty()) {
-        Entry e = p.heap.pop();
-        if (this->ledger_.claim_popped(e, p.index)) {
-          out = std::move(e.task);
-          break;
-        }
-        p.counters->inc(Counter::tombstones_reaped);
-        gate_.add(-1);
-      }
+      std::optional<TaskT> out = this->pop_live(p.heap, p);
       p.lock.unlock();
       return out;
     }
     // Single-task steal: drain the victim's tombstones while we hold its
     // lock anyway — the first live task is the loot.
-    std::optional<TaskT> out;
-    while (!victim.heap.empty()) {
-      Entry e = victim.heap.pop();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        out = std::move(e.task);
-        break;
-      }
-      p.counters->inc(Counter::tombstones_reaped);
-      gate_.add(-1);
-    }
+    std::optional<TaskT> out = this->pop_live(victim.heap, p);
     victim.lock.unlock();
     if (out) {
       p.counters->inc(Counter::stolen_items);
@@ -184,10 +141,7 @@ class WsPriorityPool
     return out;
   }
 
-  StorageConfig cfg_;
-  detail::CapacityGate gate_;
   std::vector<Place> places_;
-  std::unique_ptr<StatsRegistry> owned_stats_;
 };
 
 }  // namespace kps

@@ -51,8 +51,6 @@ class Backoff {
     misses_ = 0;
   }
 
-  std::uint64_t misses() const { return misses_; }
-
   /// Has the caller missed at least `limit` times since the last reset?
   /// The bounded-retry contract: loops with a blocking fallback switch to
   /// it here instead of retrying forever.

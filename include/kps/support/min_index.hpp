@@ -77,10 +77,6 @@ class MinIndex {
     return levels_.back()[0].load(std::memory_order_acquire);
   }
 
-  double block_min(std::size_t b) const {
-    return levels_.front()[b].load(std::memory_order_acquire);
-  }
-
   /// Decrease-only publication (the push path): block b now contains an
   /// entry with value v.  CAS-min from the block to the root, stopping
   /// at the first level already ≤ v — whichever update made it ≤ v is

@@ -68,17 +68,4 @@ class KPS_CAPABILITY("spinlock") Spinlock {
   alignas(kCacheLine) std::atomic<bool> locked_{false};
 };
 
-/// RAII guard over a Spinlock, visible to the analysis as a scoped
-/// capability — the spinning analogue of MutexGuard.
-class KPS_SCOPED_CAPABILITY SpinGuard {
- public:
-  explicit SpinGuard(Spinlock& l) KPS_ACQUIRE(l) : lock_(l) { lock_.lock(); }
-  ~SpinGuard() KPS_RELEASE() { lock_.unlock(); }
-  SpinGuard(const SpinGuard&) = delete;
-  SpinGuard& operator=(const SpinGuard&) = delete;
-
- private:
-  Spinlock& lock_;
-};
-
 }  // namespace kps

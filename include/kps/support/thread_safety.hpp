@@ -36,16 +36,12 @@
 
 // Data members.
 #define KPS_GUARDED_BY(x) KPS_TSA(guarded_by(x))
-#define KPS_PT_GUARDED_BY(x) KPS_TSA(pt_guarded_by(x))
 
 // Function contracts.
 #define KPS_REQUIRES(...) KPS_TSA(requires_capability(__VA_ARGS__))
 #define KPS_ACQUIRE(...) KPS_TSA(acquire_capability(__VA_ARGS__))
 #define KPS_RELEASE(...) KPS_TSA(release_capability(__VA_ARGS__))
 #define KPS_TRY_ACQUIRE(...) KPS_TSA(try_acquire_capability(__VA_ARGS__))
-#define KPS_EXCLUDES(...) KPS_TSA(locks_excluded(__VA_ARGS__))
-#define KPS_RETURN_CAPABILITY(x) KPS_TSA(lock_returned(x))
-#define KPS_ASSERT_CAPABILITY(x) KPS_TSA(assert_capability(x))
 
 // Escape hatch: the function touches guarded state under an ownership
 // argument the analysis cannot see (single-consumer phases, destructors

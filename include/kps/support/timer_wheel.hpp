@@ -107,13 +107,6 @@ class TimerWheel {
     return n;
   }
 
-  std::uint64_t position() const {
-    lock_.lock();
-    const std::uint64_t p = last_;
-    lock_.unlock();
-    return p;
-  }
-
  private:
   struct Entry {
     std::uint64_t when;

@@ -7,8 +7,8 @@
 // the consumer is the exporter, which drains after the run or from the
 // telemetry sampling thread.  A full ring DROPS the record and counts
 // the drop — tracing never blocks or backpressures the scheduler it is
-// observing.  One extra ring (index = places) belongs to the sampling /
-// watchdog thread for control-plane events (stalls).
+// observing.  One extra ring (index = places) belongs to the telemetry
+// sampling thread for control-plane events (stalls).
 //
 // A record carries {logical pop-clock tick, wall ns since tracer birth,
 // place, event, arg}.  The pop clock is the tracer-wide count of pop
@@ -47,7 +47,7 @@ enum class TraceEv : std::uint16_t {
   shed,        // capacity: task left unexecuted (arg = kShed* code)
   cancel,      // lifecycle: residency tombstoned (arg = kCancel* code)
   timer_fire,  // timer wheel: deadline actions delivered (arg = count)
-  stall,       // watchdog via telemetry: place stalled (arg = streak)
+  stall,       // telemetry stall rule: place stalled (arg = streak)
   inbox_append,  // hybrid mailbox: run committed to an inbox (arg = target)
   inbox_fold,    // hybrid mailbox: owner fold pass (arg = runs folded)
   inbox_full,    // hybrid mailbox: append refused, self-fold (arg = target)
@@ -126,7 +126,7 @@ class Tracer {
     emit_as(ring, ev, arg, ring);
   }
 
-  /// Control-plane emit (sampling / watchdog thread): lands on the extra
+  /// Control-plane emit (telemetry sampling thread): lands on the extra
   /// ring, `about` fills the record's place field.
   void emit_control(TraceEv ev, std::uint64_t arg, std::size_t about) {
     emit_as(P_, ev, arg, about);
@@ -227,14 +227,11 @@ class Tracer {
 
 namespace detail {
 
-/// The one-branch emit helper every storage hot path uses.  Compiles to
-/// nothing for Place types without a trace member (AnyStorage's facade
-/// places), one null check otherwise.
+/// The one-branch emit helper every storage hot path uses: one null
+/// check on the place's tracer (detail::PlaceBase::trace).
 template <typename PlaceT>
 inline void trace_ev(const PlaceT& p, TraceEv ev, std::uint64_t arg = 0) {
-  if constexpr (requires { p.trace; }) {
-    if (p.trace != nullptr) p.trace->emit(p.index, ev, arg);
-  }
+  if (p.trace != nullptr) p.trace->emit(p.index, ev, arg);
 }
 
 }  // namespace detail

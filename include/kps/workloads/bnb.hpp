@@ -49,6 +49,30 @@ struct KnapsackInstance {
   std::size_t items() const { return weight.size(); }
 };
 
+namespace detail {
+
+/// Reorder items ratio-descending (exact cross-multiplied compare) — the
+/// Dantzig bound below requires it.  Both generators finish here.
+inline KnapsackInstance sort_by_ratio(const KnapsackInstance& inst) {
+  std::vector<std::size_t> idx(inst.items());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return static_cast<std::uint64_t>(inst.profit[a]) * inst.weight[b] >
+           static_cast<std::uint64_t>(inst.profit[b]) * inst.weight[a];
+  });
+  KnapsackInstance sorted;
+  sorted.capacity = inst.capacity;
+  sorted.weight.reserve(idx.size());
+  sorted.profit.reserve(idx.size());
+  for (std::size_t i : idx) {
+    sorted.weight.push_back(inst.weight[i]);
+    sorted.profit.push_back(inst.profit[i]);
+  }
+  return sorted;
+}
+
+}  // namespace detail
+
 /// Seeded weakly-correlated instance (profit ≈ weight + noise), the
 /// classic regime where plain greedy fails and pruning actually works.
 inline KnapsackInstance knapsack_instance(std::size_t n,
@@ -65,23 +89,7 @@ inline KnapsackInstance knapsack_instance(std::size_t n,
     total += inst.weight[i];
   }
   inst.capacity = total / 2;
-  // Ratio-descending order (exact cross-multiplied compare) — the Dantzig
-  // bound below requires it.
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return static_cast<std::uint64_t>(inst.profit[a]) * inst.weight[b] >
-           static_cast<std::uint64_t>(inst.profit[b]) * inst.weight[a];
-  });
-  KnapsackInstance sorted;
-  sorted.capacity = inst.capacity;
-  sorted.weight.reserve(n);
-  sorted.profit.reserve(n);
-  for (std::size_t i : idx) {
-    sorted.weight.push_back(inst.weight[i]);
-    sorted.profit.push_back(inst.profit[i]);
-  }
-  return sorted;
+  return detail::sort_by_ratio(inst);
 }
 
 /// Strongly-correlated variant (profit = weight + a constant + tiny
@@ -105,21 +113,7 @@ inline KnapsackInstance knapsack_instance_hard(std::size_t n,
     total += inst.weight[i];
   }
   inst.capacity = total / 2;
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return static_cast<std::uint64_t>(inst.profit[a]) * inst.weight[b] >
-           static_cast<std::uint64_t>(inst.profit[b]) * inst.weight[a];
-  });
-  KnapsackInstance sorted;
-  sorted.capacity = inst.capacity;
-  sorted.weight.reserve(n);
-  sorted.profit.reserve(n);
-  for (std::size_t i : idx) {
-    sorted.weight.push_back(inst.weight[i]);
-    sorted.profit.push_back(inst.profit[i]);
-  }
-  return sorted;
+  return detail::sort_by_ratio(inst);
 }
 
 /// Sequential oracle: textbook O(n · capacity) dynamic program — a
@@ -195,28 +189,16 @@ inline bool cas_max(std::atomic<std::uint64_t>& target, std::uint64_t v) {
   return false;
 }
 
-}  // namespace detail
-
-/// `k_policy`: plain int (fixed window) or any RelaxationPolicy.
-template <typename Storage, typename KPolicy>
-BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
-                    KPolicy k_policy, StatsRegistry* stats = nullptr) {
+/// The search both variants share: best-first expansion with a pop-time
+/// dominance re-check, run to quiescence.  `spawn_child(handle, node)` —
+/// the only difference between the variants — folds the child's profit
+/// into `incumbent` and spawns the child unless its bound is dominated.
+template <typename Storage, typename KPolicy, typename SpawnChild>
+BnbRun bnb_search(const KnapsackInstance& inst, Storage& storage,
+                  KPolicy k_policy, StatsRegistry* stats,
+                  std::atomic<std::uint64_t>& incumbent,
+                  SpawnChild&& spawn_child) {
   static_assert(std::is_same_v<typename Storage::task_type, BnbTask>);
-  const auto n = static_cast<std::uint32_t>(inst.items());
-  std::atomic<std::uint64_t> incumbent{0};
-
-  auto spawn_child = [&](RunnerHandle<Storage>& handle, BnbNode child) {
-    detail::cas_max(incumbent, child.profit);
-    if (child.level >= n) return;  // leaf: its value is already folded in
-    const std::uint64_t ub =
-        knapsack_bound(inst, child.level, child.weight, child.profit);
-    // order: relaxed — speculative prune: a stale (lower) incumbent
-    // only admits a task the pop-side re-check will discard.
-    if (ub > incumbent.load(std::memory_order_relaxed)) {
-      handle.spawn({-static_cast<double>(ub), child});
-    }
-  };
-
   auto expand = [&](RunnerHandle<Storage>& handle,
                     const BnbTask& task) -> bool {
     const BnbNode node = task.payload;
@@ -229,16 +211,16 @@ BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
     // Include item `level` (if it fits), then exclude it.
     if (node.weight + inst.weight[node.level] <= inst.capacity) {
       spawn_child(handle,
-                  {node.level + 1,
-                   node.weight + inst.weight[node.level],
-                   node.profit + inst.profit[node.level]});
+                  BnbNode{node.level + 1,
+                          node.weight + inst.weight[node.level],
+                          node.profit + inst.profit[node.level]});
     }
-    spawn_child(handle, {node.level + 1, node.weight, node.profit});
+    spawn_child(handle, BnbNode{node.level + 1, node.weight, node.profit});
     return true;
   };
 
   BnbRun run;
-  if (n == 0) return run;
+  if (inst.items() == 0) return run;
   const std::uint64_t root_ub = knapsack_bound(inst, 0, 0, 0);
   run.runner = run_relaxed(
       storage, k_policy,
@@ -249,6 +231,29 @@ BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
   run.expanded = run.runner.expanded;
   run.pruned = run.runner.wasted;
   return run;
+}
+
+}  // namespace detail
+
+/// `k_policy`: plain int (fixed window) or any RelaxationPolicy.
+template <typename Storage, typename KPolicy>
+BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
+                    KPolicy k_policy, StatsRegistry* stats = nullptr) {
+  const auto n = static_cast<std::uint32_t>(inst.items());
+  std::atomic<std::uint64_t> incumbent{0};
+  auto spawn_child = [&](RunnerHandle<Storage>& handle, BnbNode child) {
+    detail::cas_max(incumbent, child.profit);
+    if (child.level >= n) return;  // leaf: its value is already folded in
+    const std::uint64_t ub =
+        knapsack_bound(inst, child.level, child.weight, child.profit);
+    // order: relaxed — speculative prune: a stale (lower) incumbent
+    // only admits a task the pop-side re-check will discard.
+    if (ub > incumbent.load(std::memory_order_relaxed)) {
+      handle.spawn({-static_cast<double>(ub), child});
+    }
+  };
+  return detail::bnb_search(inst, storage, k_policy, stats, incumbent,
+                            spawn_child);
 }
 
 /// Speculative variant (ablation A19): same search, but every spawned
@@ -267,7 +272,6 @@ template <typename Storage, typename KPolicy>
 BnbRun bnb_parallel_speculative(const KnapsackInstance& inst,
                                 Storage& storage, KPolicy k_policy,
                                 StatsRegistry* stats = nullptr) {
-  static_assert(std::is_same_v<typename Storage::task_type, BnbTask>);
   if (!storage.caps().cancel) {
     throw std::invalid_argument(
         "bnb_parallel_speculative: storage does not support cancel");
@@ -334,36 +338,8 @@ BnbRun bnb_parallel_speculative(const KnapsackInstance& inst,
       }
     }
   };
-
-  auto expand = [&](RunnerHandle<Storage>& handle,
-                    const BnbTask& task) -> bool {
-    const BnbNode node = task.payload;
-    const auto ub = static_cast<std::uint64_t>(-task.priority);
-    // order: relaxed — pop-side dominance re-check, same contract as the
-    // basic variant: staleness costs work, not safety.
-    if (ub <= incumbent.load(std::memory_order_relaxed)) return false;
-    if (node.weight + inst.weight[node.level] <= inst.capacity) {
-      spawn_child(handle,
-                  {node.level + 1,
-                   node.weight + inst.weight[node.level],
-                   node.profit + inst.profit[node.level]});
-    }
-    spawn_child(handle, {node.level + 1, node.weight, node.profit});
-    return true;
-  };
-
-  BnbRun run;
-  if (n == 0) return run;
-  const std::uint64_t root_ub = knapsack_bound(inst, 0, 0, 0);
-  run.runner = run_relaxed(
-      storage, k_policy,
-      {BnbTask{-static_cast<double>(root_ub), BnbNode{0, 0, 0}}}, expand,
-      stats);
-  // order: relaxed — quiescent read; run_relaxed joined the workers.
-  run.best_profit = incumbent.load(std::memory_order_relaxed);
-  run.expanded = run.runner.expanded;
-  run.pruned = run.runner.wasted;
-  return run;
+  return detail::bnb_search(inst, storage, k_policy, stats, incumbent,
+                            spawn_child);
 }
 
 }  // namespace kps

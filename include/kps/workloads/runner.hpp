@@ -128,8 +128,14 @@ class RunnerHandle {
 
   std::size_t place_index() const { return place_->index; }
 
-  /// Publish a child task.  The pending increment precedes the push: a
-  /// sibling popping the child immediately still sees pending > 0.
+  /// Publish a child task.
+  void spawn(task_type task) { (void)spawn_tracked(std::move(task)); }
+
+  /// Publish a child task and return its lifecycle handle (invalid when
+  /// the child itself was rejected/shed, or lifecycle is off; a valid
+  /// handle means the child resides in the storage).  The pending
+  /// increment precedes the push: a sibling popping the child
+  /// immediately still sees pending > 0.
   ///
   /// Backpressure contract: a bounded-capacity storage may reject the
   /// child or shed a task (the child itself, or a worse resident it
@@ -137,21 +143,9 @@ class RunnerHandle {
   /// being executed, so the optimistic increment is paid back here —
   /// acq_rel, like the worker's post-expand decrement, because this
   /// decrement too may be the one that releases a terminating peer.
-  void spawn(task_type task) {
+  TaskHandle spawn_tracked(task_type task) {
     // order: relaxed — optimistic increment; only the DECREMENT side can
     // release a terminating peer, so only it needs acq_rel.
-    pending_->fetch_add(1, std::memory_order_relaxed);
-    const auto out = storage_->try_push(*place_, *k_, std::move(task));
-    if (!out.accepted || out.shed.has_value()) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-
-  /// spawn() that returns the child's lifecycle handle (invalid when the
-  /// child itself was rejected/shed, or lifecycle is off).  Same pending
-  /// accounting: a valid handle means the child resides in the storage.
-  TaskHandle spawn_tracked(task_type task) {
-    // order: relaxed — same optimistic-increment contract as spawn().
     pending_->fetch_add(1, std::memory_order_relaxed);
     const auto out = storage_->try_push(*place_, *k_, std::move(task));
     if (!out.accepted || out.shed.has_value()) {
@@ -284,22 +278,16 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     Local& local = locals[place_idx];
     RunnerHandle<Storage> handle(storage, place, local.current_k, pending,
                                  wheel, &ticks);
-    // Deliver deadline actions against this worker's own place; counter
-    // credit (timers_fired + the cancel/reap counters inside the storage)
-    // lands on the advancing place, matching every other lifecycle op.
+    // Deliver deadline actions against this worker's own place, through
+    // the handle's pending accounting; counter credit (timers_fired + the
+    // cancel/reap counters inside the storage) lands on the advancing
+    // place, matching every other lifecycle op.  A consumed/stale handle
+    // fails harmlessly.
     auto fire = [&](std::uint64_t /*when*/, const auto& op) {
       if (op.action == TimerAction::cancel) {
-        // A consumed/stale handle fails harmlessly; pending only moves
-        // when a real residency was tombstoned (its "execution").
-        if (storage.cancel(place, op.handle)) {
-          pending.fetch_sub(1, std::memory_order_acq_rel);
-        }
+        (void)handle.cancel(op.handle);
       } else {
-        const auto out = storage.reprioritize(place, op.handle, op.priority);
-        if (out.detached &&
-            (!out.requeue.accepted || out.requeue.shed.has_value())) {
-          pending.fetch_sub(1, std::memory_order_acq_rel);
-        }
+        (void)handle.reprioritize(op.handle, op.priority);
       }
     };
     // Capped exponential backoff on the idle path (replaces the flat

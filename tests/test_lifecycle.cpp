@@ -23,13 +23,19 @@
 //     runs, a never-firing deadline reproduces the sequential oracle
 //     bit-for-bit, and a tight deadline expires events while keeping the
 //     conservation ledger balanced.
+//   * Every exit releases its capacity slot: after pops and reaps drain a
+//     full storage, a second full round is admitted without a refusal.
 //   * Failpoint schedules over the new seams (lifecycle.cancel,
 //     lifecycle.reap, timer.fire) keep every invariant above intact —
 //     cancels may spuriously refuse and timer fires may defer, but
 //     nothing is ever lost or double-counted.
+//   * The detach race (failpoints builds): a reap that surfaces a
+//     tombstone while reprioritize is still copying its task out must
+//     wait for the copy, or the recycled block is re-wrapped under it.
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -288,6 +294,41 @@ void test_conservation_bounded() {
                totals.get(Counter::tasks_cancelled));
   }
   std::printf("  conservation ledger balanced under shed-lowest capacity\n");
+}
+
+// Every exit releases its capacity slot.  At P = 1 the gate's resident
+// count is exact, so one round that fills the storage, cancels half and
+// drains it (pops plus reaps) must leave room for a full second round —
+// a pop or a reap that kept its slot would show as refused pushes.
+void test_every_exit_releases_capacity() {
+  constexpr std::uint32_t C = 64;
+  for (const std::string_view name : kStorageNames) {
+    StorageConfig extra;
+    extra.capacity = C;
+    extra.overflow_policy = OverflowPolicy::reject;
+    StatsRegistry stats(1);
+    auto storage = build(std::string(name), 1, 8, 41, stats, extra);
+    auto& place = storage.place(0);
+    for (std::uint32_t round = 0; round < 2; ++round) {
+      std::vector<TaskHandle> handles;
+      for (std::uint32_t i = 0; i < C; ++i) {
+        const auto out = storage.try_push(place, 8, {1.0 + i, round * C + i});
+        assert(out.accepted && out.handle.valid());
+        handles.push_back(out.handle);
+      }
+      for (std::uint32_t i = 0; i < C; i += 2) {
+        assert(storage.cancel(place, handles[i]));
+      }
+      std::uint32_t pops = 0;
+      while (storage.pop(place)) ++pops;
+      assert(pops == C / 2);
+    }
+    const PlaceStats totals = stats.total();
+    assert(totals.get(Counter::push_rejected) == 0);
+    assert(totals.get(Counter::tombstones_reaped) == C);
+  }
+  std::printf("  every pop and reap releases its capacity slot, "
+              "6 storages\n");
 }
 
 // --------------------------------------------------- P = 1 exactness
@@ -554,6 +595,59 @@ void test_lifecycle_failpoints() {
               static_cast<unsigned long long>(cancel_fired));
 }
 
+// ----------------------------------------------------- the detach race
+// reprioritize's detach wins its CAS, then parks at the lifecycle.detach
+// seam before copying the task out.  Meanwhile the owner pops the
+// tombstone and pushes task 2: its thread-local stash hands the reaped
+// block straight to that wrap.  If the reap did not wait for the copy,
+// the detacher would copy task 2 — task 1 lost, task 2 run twice.
+
+void test_detach_race() {
+  if (!fp::enabled()) {
+    std::printf("  detach race: skipped (failpoints compiled out)\n");
+    return;
+  }
+  StatsRegistry stats(2);
+  auto storage = build("global_pq", 2, 8, 5, stats);
+  const TaskHandle h =
+      storage.try_push(storage.place(0), 8, {10.0, 1}).handle;
+  fp::Policy stall;
+  stall.action = fp::Action::stall;
+  stall.count = 1;
+  fp::site("lifecycle.detach").arm(stall);
+  std::thread detacher([&] {
+    const auto re = storage.reprioritize(storage.place(1), h, 5.0);
+    assert(re.detached && re.requeue.accepted);
+  });
+  while (fp::site("lifecycle.detach").stalled() == 0) {
+    std::this_thread::yield();
+  }
+  std::atomic<bool> owner_done{false};
+  std::thread owner([&] {
+    assert(!storage.pop(storage.place(0)).has_value());  // the tombstone
+    (void)storage.try_push(storage.place(0), 8, {20.0, 2});
+    owner_done.store(true, std::memory_order_release);
+  });
+  // A correct reap waits for the copy, so the owner cannot finish while
+  // the detacher is parked; give it 200 ms, then release the seam.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (!owner_done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  fp::site("lifecycle.detach").disarm();
+  detacher.join();
+  owner.join();
+  std::vector<std::uint32_t> drained;
+  while (auto t = storage.pop(storage.place(0))) {
+    drained.push_back(t->payload);
+  }
+  std::sort(drained.begin(), drained.end());
+  assert((drained == std::vector<std::uint32_t>{1, 2}));
+  std::printf("  detach race: the reap waits for the detach copy\n");
+}
+
 }  // namespace
 
 int main() {
@@ -561,11 +655,13 @@ int main() {
   test_capability_registry();
   test_conservation_ledger();
   test_conservation_bounded();
+  test_every_exit_releases_capacity();
   test_exactness_with_cancellation();
   test_bnb_speculative_exact();
   test_timer_wheel_unit();
   test_des_expiry();
   test_lifecycle_failpoints();
+  test_detach_race();
   std::printf("test_lifecycle: OK (failpoints %s)\n",
               kps::fp::enabled() ? "ON" : "compiled out");
   return 0;

@@ -38,7 +38,7 @@ double true_min(const std::vector<double>& entries) {
   return m;
 }
 
-double block_min_of(const std::vector<double>& entries, std::size_t b) {
+double min_of_block(const std::vector<double>& entries, std::size_t b) {
   double m = kInf;
   const std::size_t lo = b * 64;
   const std::size_t hi = std::min(entries.size(), lo + 64);
@@ -55,7 +55,7 @@ void converge(MinIndex& idx, const std::vector<double>& entries,
   std::uint64_t sink = 0;
   std::uint64_t& heals = heals_out ? *heals_out : sink;
   auto heal = [&](std::size_t b) {
-    heals += idx.heal_block(b, [&] { return block_min_of(entries, b); });
+    heals += idx.heal_block(b, [&] { return min_of_block(entries, b); });
   };
   const std::size_t bound = 4 * (idx.blocks() + 8);
   for (std::size_t i = 0; i < bound; ++i) {
@@ -88,7 +88,7 @@ void sequential_exactness() {
     if (rng.next_bounded(4) == 0 && entries[i] != kInf) {
       // Remove (raise): ground-truth heal, exactly what a claim does.
       entries[i] = kInf;
-      idx.heal_block(b, [&] { return block_min_of(entries, b); });
+      idx.heal_block(b, [&] { return min_of_block(entries, b); });
     } else {
       // Insert / lower.
       const double v = rng.next_unit();
@@ -97,7 +97,7 @@ void sequential_exactness() {
         idx.note_min(b, v);
       } else {
         entries[i] = v;
-        idx.heal_block(b, [&] { return block_min_of(entries, b); });
+        idx.heal_block(b, [&] { return min_of_block(entries, b); });
       }
     }
     // Single-threaded heal_block repairs the whole path: exact root.
@@ -107,7 +107,7 @@ void sequential_exactness() {
       assert(mb == MinIndex::kNone);
     } else {
       assert(mb != MinIndex::kNone);
-      assert(block_min_of(entries, mb) == true_min(entries));
+      assert(min_of_block(entries, mb) == true_min(entries));
     }
   }
   std::printf("  sequential exactness: OK\n");

@@ -1,9 +1,10 @@
 // Tier-1: PR-8 telemetry layer — histogram quantile accuracy vs exact
 // sorted percentiles, snapshot merge associativity, tracer overflow drop
-// accounting, concurrent recording (the TSan target), and the JSON
-// exporters' structural validity.
+// accounting, concurrent recording (the TSan target), the sampler's stall
+// rule, and the JSON exporters' structural validity.
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -202,7 +203,6 @@ void test_exporters_shape() {
   Telemetry tele(&stats, std::chrono::milliseconds(5));
   tele.attach_tracer(&t);
   tele.publish_window(0, 8);
-  tele.note_stall(1, 6);
   t.emit(0, TraceEv::push);
   t.emit(0, TraceEv::pop);
   tele.stop();  // never started: takes the one final sample
@@ -210,13 +210,12 @@ void test_exporters_shape() {
   const TelemetrySample& s = tele.series().front();
   assert(s.queue_depth == 6);  // 10 spawned - 4 executed
   assert(s.window[0] == 8 && s.window[1] == -1);
-  assert(s.stalled[1] == 1 && s.stalled[0] == 0);
+  assert(s.stalled[0] == 0 && s.stalled[1] == 0);
 
   std::ostringstream trace_os;
   write_chrome_trace(trace_os, t.drain(), t.drops());
   const std::string trace = trace_os.str();
   assert(trace.find("\"traceEvents\":[") != std::string::npos);
-  assert(trace.find("\"watchdog.stall\"") != std::string::npos);
   assert(trace.find("\"push\"") != std::string::npos);
 
   std::ostringstream met_os;
@@ -233,6 +232,48 @@ void test_exporters_shape() {
   }
 }
 
+void test_stall_detection() {
+  // Place 0 keeps progressing, place 1 never does.  Only place 1 may be
+  // flagged; each flag is one watchdog.stall control event, and the
+  // sample stop() takes is never flagged.  Place 0 would need to miss
+  // 20 ms of increments to be flagged: a loaded CI runner can starve the
+  // incrementing thread for a few ms, not for four 5 ms periods.
+  constexpr std::uint64_t kThreshold = 4;
+  StatsRegistry stats(2);
+  Tracer t(2, 1 << 12);
+  Telemetry tele(&stats, std::chrono::milliseconds(5), kThreshold);
+  tele.attach_tracer(&t);
+  tele.start();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(120);
+  while (std::chrono::steady_clock::now() < until) {
+    stats.place(0).inc(Counter::tasks_executed);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  tele.stop();
+
+  const StallReport& r = tele.stalls();
+  assert(r.stalls_by_place[0] == 0);
+  assert(r.stalls_by_place[1] > 0);
+  assert(r.stall_reports == r.stalls_by_place[1]);
+  assert(r.max_stall_streak >= kThreshold);
+  std::uint64_t events = 0;
+  for (const TraceRecord& rec : t.drain()) {
+    if (rec.event != static_cast<std::uint16_t>(TraceEv::stall)) continue;
+    ++events;
+    assert(rec.place == 1 && rec.arg >= kThreshold);
+  }
+  assert(events == r.stall_reports);
+  std::uint64_t flagged = 0;
+  for (const TelemetrySample& s : tele.series()) {
+    assert(s.stalled[0] == 0);
+    flagged += s.stalled[1];
+  }
+  assert(flagged == r.stall_reports);
+  const TelemetrySample& last = tele.series().back();
+  assert(last.stalled[0] == 0 && last.stalled[1] == 0);
+}
+
 }  // namespace
 
 int main() {
@@ -242,6 +283,7 @@ int main() {
   test_tracer_overflow_exact();
   test_concurrent_recording();
   test_exporters_shape();
+  test_stall_detection();
   std::printf("test_telemetry: OK\n");
   return 0;
 }
