@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   Args args(argc, argv, {"P", "k", "churn-ops"});
   Workload w = workload_from_args(args);
   const std::uint64_t P = args.value("P", 8);
-  const int k = static_cast<int>(args.value("k", 256));
+  const int k = args.value_as<int>("k", 256);
   const std::uint64_t ops = args.value("churn-ops", 1000000);
   const std::vector<int> batches = {1, 16, 64, 256, 1024};
 

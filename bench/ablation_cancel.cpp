@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
             std::vector<std::string>{"storage", "P", "k", "items", "seed",
                                      "expire-after", kFailSpecFlag});
   const std::size_t P = args.value("P", 2);
-  const int k = static_cast<int>(args.value("k", 64));
+  const int k = args.value_as<int>("k", 64);
   const std::uint64_t seed = args.value("seed", 1);
   const std::size_t items = args.value("items", 30);
   const std::uint64_t expire_after = args.value("expire-after", 4);

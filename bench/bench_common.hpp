@@ -215,6 +215,34 @@ class Args {
     return def;
   }
 
+  /// Integer flag read into a narrower type T: a value T cannot hold
+  /// exits 2 instead of wrapping (`--k 4294967552` would run with 256).
+  template <typename T>
+  T value_as(const std::string& name, T def) const {
+    if (!flag(name)) return def;
+    const std::uint64_t v = value(name, 0);
+    T out{};
+    if (!narrow(v, &out)) {
+      std::fprintf(stderr, "error: --%s must be at most %llu, got %llu\n",
+                   name.c_str(),
+                   static_cast<unsigned long long>(
+                       std::numeric_limits<T>::max()),
+                   static_cast<unsigned long long>(v));
+      std::exit(2);
+    }
+    return out;
+  }
+
+  /// value_as's range check, without the exit (tests probe it).
+  template <typename T>
+  static bool narrow(std::uint64_t v, T* out) {
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+    *out = static_cast<T>(v);
+    return true;
+  }
+
   /// String-valued flag (e.g. --workload=des); arbitrary non-empty
   /// token.  Enum-like validation stays with the caller, which knows
   /// the legal set and can fail fast with its own diagnostic.
@@ -246,22 +274,13 @@ class Args {
 
 struct Mean {
   double sum = 0;
-  double sum_sq = 0;
   std::uint64_t n = 0;
 
   void add(double x) {
     sum += x;
-    sum_sq += x * x;
     ++n;
   }
   double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-  double stderr_() const {
-    if (n < 2) return 0.0;
-    const double m = mean();
-    const double var =
-        (sum_sq - static_cast<double>(n) * m * m) / static_cast<double>(n - 1);
-    return std::sqrt(std::max(0.0, var) / static_cast<double>(n));
-  }
 };
 
 /// Workload description shared by the figure benches (paper §5.5).
@@ -290,17 +309,7 @@ inline constexpr const char* kPublishBatchFlag = "publish-batch";
 
 inline StorageConfig apply_publish_batch(const Args& args,
                                          StorageConfig cfg = {}) {
-  const std::uint64_t batch = args.value(
-      kPublishBatchFlag, static_cast<std::uint64_t>(cfg.publish_batch));
-  // Range-check before the int field assignment: a u64 value above
-  // INT_MAX used to narrow into a negative publish_batch and silently
-  // flip the hybrid into per-task publishes.
-  if (batch > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    std::fprintf(stderr, "error: --%s must fit an int, got %llu\n",
-                 kPublishBatchFlag, static_cast<unsigned long long>(batch));
-    std::exit(2);
-  }
-  cfg.publish_batch = static_cast<int>(batch);
+  cfg.publish_batch = args.value_as(kPublishBatchFlag, cfg.publish_batch);
   return cfg;
 }
 

@@ -9,6 +9,7 @@
 // the machine-independent shape; see EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     w.n = args.value("n", 10000);
     w.graphs = args.value("graphs", 2);
   }
-  const int k = static_cast<int>(args.value("k", 512));
+  const int k = args.value_as<int>("k", 512);
 
   std::vector<std::uint64_t> sweep = {1, 2, 3, 5, 10, 20, 40, 80};
   if (args.value("maxp", 0) > 0) {
@@ -41,9 +42,11 @@ int main(int argc, char** argv) {
                   [&](std::uint64_t p) { return p > args.value("maxp", 0); });
   }
 
-  print_header("Figure 4: execution time and nodes relaxed vs P (k=512)", w);
-  std::printf("# k=%d; sequential baseline shown at every P for reference\n",
-              k);
+  const std::string title =
+      "Figure 4: execution time and nodes relaxed vs P (k=" +
+      std::to_string(k) + ")";
+  print_header(title.c_str(), w);
+  std::printf("# sequential baseline shown at every P for reference\n");
 
   std::vector<Row> rows;
   for (std::uint64_t P : sweep) rows.push_back(Row{P, {}, {}, {}, {}});

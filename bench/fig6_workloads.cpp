@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   Sweep sw;
   sw.storages = storages_from_args(args);
   sw.maxp = args.value("maxp", 8);
-  sw.k = static_cast<int>(args.value("k", 256));
+  sw.k = args.value_as<int>("k", 256);
   sw.seed = args.value("seed", 1);
   const bool paper = args.flag("paper");
 
@@ -101,10 +101,10 @@ int main(int argc, char** argv) {
 
   if (which == "all" || which == "des") {
     DesParams params;
-    params.chains = static_cast<std::uint32_t>(
-        args.value("chains", paper ? 1024 : 256));
-    params.stations = static_cast<std::uint32_t>(
-        args.value("stations", paper ? 256 : 64));
+    params.chains =
+        args.value_as<std::uint32_t>("chains", paper ? 1024 : 256);
+    params.stations =
+        args.value_as<std::uint32_t>("stations", paper ? 256 : 64);
     params.horizon = args.value_d("horizon", paper ? 200.0 : 50.0);
     params.window = args.value_d("window", 8.0);
     params.seed = sw.seed;
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
 
   if (which == "all" || which == "astar") {
     const auto side =
-        static_cast<std::uint32_t>(args.value("grid", paper ? 512 : 192));
+        args.value_as<std::uint32_t>("grid", paper ? 512 : 192);
     const double density = args.value_d("density", 0.25);
     const GridMaze maze = grid_maze(side, side, density, sw.seed + 23);
     const std::uint32_t oracle = grid_bfs_dist(maze);

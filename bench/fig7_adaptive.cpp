@@ -221,8 +221,8 @@ int main(int argc, char** argv) {
     cfg.storages = storages_from_args(args);
   }
   cfg.maxp = std::max<std::size_t>(args.value("maxp", 8), 1);
-  cfg.k_max = static_cast<int>(args.value("k-max", 4096));
-  cfg.interval = static_cast<std::uint32_t>(args.value("interval", 64));
+  cfg.k_max = args.value_as<int>("k-max", 4096);
+  cfg.interval = args.value_as<std::uint32_t>("interval", 64);
   cfg.seed = args.value("seed", 1);
   cfg.reps = std::max<std::uint64_t>(args.value("reps", 10), 1);
   cfg.policies = k_policy_from_args(args);
@@ -246,10 +246,8 @@ int main(int argc, char** argv) {
     std::vector<DesParams> params(cfg.reps);
     std::vector<DesOutcome> oracles;
     for (std::uint64_t rep = 0; rep < cfg.reps; ++rep) {
-      params[rep].chains = static_cast<std::uint32_t>(
-          args.value("chains", 256));
-      params[rep].stations = static_cast<std::uint32_t>(
-          args.value("stations", 64));
+      params[rep].chains = args.value_as<std::uint32_t>("chains", 256);
+      params[rep].stations = args.value_as<std::uint32_t>("stations", 64);
       params[rep].horizon = args.value_d("horizon", 50.0);
       params[rep].window = args.value_d("window", 8.0);
       params[rep].seed = cfg.seed + 1000 * rep;
@@ -304,8 +302,7 @@ int main(int argc, char** argv) {
   }
 
   if (which == "all" || which == "astar") {
-    const auto side =
-        static_cast<std::uint32_t>(args.value("grid", 192));
+    const auto side = args.value_as<std::uint32_t>("grid", 192);
     const double density = args.value_d("density", 0.25);
     // One maze per rep (solvable and unsolvable seeds both count: the
     // oracle check compares against BFS either way).

@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
   const std::uint64_t maxchains =
       args.value("maxchains", args.flag("paper") ? 100000 : 65536);
   const std::size_t P = args.value("P", 4);
-  const int k = static_cast<int>(args.value("k", 256));
+  const int k = args.value_as<int>("k", 256);
 
   DesParams base;
-  base.stations = static_cast<std::uint32_t>(args.value("stations", 64));
+  base.stations = args.value_as<std::uint32_t>("stations", 64);
   // A short horizon keeps events ≈ 3×chains per row, so the sweep's
   // cost axis is the floor mechanism, not the event count per chain.
   base.horizon = args.value_d("horizon", 4.0);

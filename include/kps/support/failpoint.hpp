@@ -40,10 +40,12 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -340,15 +342,12 @@ inline std::string apply_spec(std::string_view spec) {
   if (!enabled()) {
     return "failpoints are compiled out; rebuild with -DKPS_FAILPOINTS=ON";
   }
+  // std::from_chars: locale-independent, and it reports a value its type
+  // cannot hold instead of wrapping it.
   const auto parse_u64 = [](std::string_view s, std::uint64_t* out) {
-    if (s.empty()) return false;
-    std::uint64_t v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') return false;
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    *out = v;
-    return true;
+    const auto [end, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), *out);
+    return ec == std::errc{} && end == s.data() + s.size();
   };
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -390,25 +389,13 @@ inline std::string apply_spec(std::string_view spec) {
       const std::string_view val = kv.substr(kveq + 1);
       std::uint64_t u = 0;
       if (key == "p") {
-        // Accept 0, 1, or 0.xxx — a hand-rolled parse keeps this header
-        // free of locale-dependent strtod.
         double d = 0;
-        std::size_t dot = val.find('.');
-        std::uint64_t whole = 0, frac = 0;
-        if (!parse_u64(val.substr(0, dot), &whole)) {
+        const auto [end, ec] =
+            std::from_chars(val.data(), val.data() + val.size(), d);
+        if (ec != std::errc{} || end != val.data() + val.size()) {
           return "fail-spec p='" + std::string(val) + "' is not a number";
         }
-        d = static_cast<double>(whole);
-        if (dot != std::string_view::npos) {
-          const std::string_view fs = val.substr(dot + 1);
-          if (!parse_u64(fs, &frac)) {
-            return "fail-spec p='" + std::string(val) + "' is not a number";
-          }
-          double scale = 1;
-          for (std::size_t i = 0; i < fs.size(); ++i) scale *= 10;
-          d += static_cast<double>(frac) / scale;
-        }
-        if (d < 0 || d > 1) {
+        if (!(d >= 0 && d <= 1)) {  // NaN fails both comparisons
           return "fail-spec p must be in [0, 1]";
         }
         policy.probability = d;

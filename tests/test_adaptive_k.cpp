@@ -9,7 +9,8 @@
 //     a ratio inside the hysteresis deadband moves nothing;
 //   * end-to-end, AdaptiveK stays within [1, k_max] on every window the
 //     runner ever consults (checked by a wrapper policy on the hot
-//     path) and remains oracle-exact on BnB at P ∈ {1, 8};
+//     path) and remains oracle-exact on SSSP, DES, BnB and A* at
+//     P ∈ {1, 8};
 //   * nonsense controller configs are rejected at construction.
 #include <cassert>
 #include <cstdio>
@@ -22,7 +23,9 @@
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/sssp.hpp"
+#include "workloads/astar.hpp"
 #include "workloads/bnb.hpp"
+#include "workloads/des.hpp"
 
 namespace {
 
@@ -182,40 +185,86 @@ struct BoundsChecked {
 
 static_assert(RelaxationPolicy<BoundsChecked>);
 
-void test_adaptive_bnb_exact_and_bounded() {
+/// One solve on a fresh `name` storage at (P, k_max).
+template <typename TaskT, typename Solve>
+auto solve_on(const char* name, std::size_t P, int k_max, Solve&& solve) {
+  StorageConfig cfg;
+  cfg.k_max = k_max;
+  cfg.default_k = k_max;
+  cfg.seed = P;
+  StatsRegistry stats(P);
+  auto storage = make_storage<TaskT>(name, P, cfg, &stats);
+  return solve(storage, &stats);
+}
+
+/// The runner's per-place policy reports stay in range and add up to
+/// its totals.
+void check_policy_reports(const RunnerResult& r, std::size_t P, int k_max) {
+  assert(r.policy_by_place.size() == P);
+  std::uint64_t raised = 0, lowered = 0;
+  for (const PolicyReport& rep : r.policy_by_place) {
+    assert(rep.k >= 1 && rep.k <= k_max);
+    raised += rep.k_raised;
+    lowered += rep.k_lowered;
+  }
+  assert(raised == r.k_raised);
+  assert(lowered == r.k_lowered);
+}
+
+void test_adaptive_exact_and_bounded() {
+  const Graph g = erdos_renyi(300, 0.05, 13);
+  const std::vector<double> sssp_oracle = dijkstra(g, 0).dist;
+  DesParams des;
+  des.stations = 16;
+  des.chains = 48;
+  des.horizon = 20.0;
+  des.window = 4.0;
+  des.seed = 7;
+  const DesOutcome des_oracle = des_sequential(des);
   const KnapsackInstance inst = knapsack_instance(20, 9);
-  const std::uint64_t oracle = knapsack_dp(inst);
-  assert(oracle > 0);
+  const std::uint64_t bnb_oracle = knapsack_dp(inst);
+  assert(bnb_oracle > 0);
+  const GridMaze maze = grid_maze(48, 48, 0.2, 5);
+  const std::uint32_t astar_oracle = grid_bfs_dist(maze);
 
   const int k_max = 256;
   AdaptiveKConfig acfg;
   acfg.k_max = k_max;
   acfg.interval = 32;  // small interval: force plenty of decisions
+  const BoundsChecked pol{AdaptiveK(acfg), 1, k_max};
 
   for (const char* name : {"hybrid", "centralized"}) {
     for (std::size_t P : {1, 8}) {
-      StorageConfig cfg;
-      cfg.k_max = k_max;
-      cfg.default_k = k_max;
-      cfg.seed = P;
-      StatsRegistry stats(P);
-      auto storage = make_storage<BnbTask>(name, P, cfg, &stats);
-      const BoundsChecked pol{AdaptiveK(acfg), 1, k_max};
-      const BnbRun run = bnb_parallel(inst, storage, pol, &stats);
-      assert(run.best_profit == oracle);
-      assert(run.runner.policy_by_place.size() == P);
-      std::uint64_t raised = 0, lowered = 0;
-      for (const PolicyReport& r : run.runner.policy_by_place) {
-        assert(r.k >= 1 && r.k <= k_max);
-        raised += r.k_raised;
-        lowered += r.k_lowered;
-      }
-      assert(raised == run.runner.k_raised);
-      assert(lowered == run.runner.k_lowered);
+      const SsspResult sssp = solve_on<SsspTask>(
+          name, P, k_max, [&](auto& storage, StatsRegistry* stats) {
+            return parallel_sssp(g, 0, storage, pol, stats);
+          });
+      assert(sssp.dist == sssp_oracle);
+
+      const DesRun des_run = solve_on<DesTask>(
+          name, P, k_max, [&](auto& storage, StatsRegistry* stats) {
+            return des_parallel(des, storage, pol, stats);
+          });
+      assert(des_run.outcome == des_oracle);
+      check_policy_reports(des_run.runner, P, k_max);
+
+      const BnbRun bnb = solve_on<BnbTask>(
+          name, P, k_max, [&](auto& storage, StatsRegistry* stats) {
+            return bnb_parallel(inst, storage, pol, stats);
+          });
+      assert(bnb.best_profit == bnb_oracle);
+      check_policy_reports(bnb.runner, P, k_max);
+
+      const AstarRun astar = solve_on<AstarTask>(
+          name, P, k_max, [&](auto& storage, StatsRegistry* stats) {
+            return astar_parallel(maze, storage, pol, stats);
+          });
+      assert(astar.goal_dist == astar_oracle);
+      check_policy_reports(astar.runner, P, k_max);
     }
   }
-  std::printf("  AdaptiveK on BnB: oracle-exact and window-bounded at "
-              "P in {1,8}\n");
+  std::printf("  AdaptiveK on SSSP, DES, BnB and A*: oracle-exact and "
+              "window-bounded at P in {1,8}\n");
 }
 
 }  // namespace
@@ -224,7 +273,7 @@ int main() {
   test_fixed_k_matches_legacy();
   test_controller_dynamics();
   test_bad_controller_configs();
-  test_adaptive_bnb_exact_and_bounded();
+  test_adaptive_exact_and_bounded();
   std::printf("test_adaptive_k: OK\n");
   return 0;
 }

@@ -1,5 +1,8 @@
 // Tier-1: bench_common.hpp Args hardening — unknown flags are rejected,
-// values must parse, valid command lines pass.
+// values must parse and fit their type, valid command lines pass.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdio>
 #include <string>
@@ -77,6 +80,17 @@ int main() {
   assert(!Args::parse_double("inf", &d));
   assert(!Args::parse_double("-1", &d));  // all double flags are >= 0
 
+  // Narrowing: a value the target type cannot hold is rejected, never
+  // wrapped (2^32 + 256 into an int or a u32 would read as 256).
+  int narrow_i = 0;
+  assert(Args::narrow<int>(2147483647, &narrow_i) && narrow_i == 2147483647);
+  assert(!Args::narrow<int>(2147483648ull, &narrow_i));
+  assert(!Args::narrow<int>(4294967552ull, &narrow_i));
+  std::uint32_t narrow_u = 0;
+  assert(Args::narrow<std::uint32_t>(4294967295ull, &narrow_u) &&
+         narrow_u == 4294967295u);
+  assert(!Args::narrow<std::uint32_t>(4294967552ull, &narrow_u));
+
   // --name=value splitting: canonicalized before validation, so both
   // spellings hit the same accept-list and value checks.
   {
@@ -116,6 +130,28 @@ int main() {
   assert(args.value_d("p", 0) == 0.25);
   assert(args.value("graphs", 7) == 7);  // default passthrough
   assert(!args.flag("paper"));
+  assert(args.value_as<int>("n", 0) == 42);
+  assert(args.value_as<std::uint32_t>("graphs", 7) == 7);
+
+  // The narrowing accessor exits 2 like every other flag error; run it
+  // in a child so the exit is observable.
+  {
+    std::vector<std::string> raw_k = {"prog", "--k", "4294967552"};
+    std::vector<char*> argv_k;
+    for (auto& s : raw_k) argv_k.push_back(s.data());
+    std::fflush(nullptr);
+    const pid_t child = fork();
+    assert(child >= 0);
+    if (child == 0) {
+      const Args args_k(static_cast<int>(argv_k.size()), argv_k.data(),
+                        std::vector<std::string>{"k"});
+      (void)args_k.value_as<int>("k", 256);
+      _exit(0);  // reached only if the value was narrowed silently
+    }
+    int status = 0;
+    assert(waitpid(child, &status, 0) == child);
+    assert(WIFEXITED(status) && WEXITSTATUS(status) == 2);
+  }
 
   // String accessor end-to-end, attached spelling included.
   std::vector<std::string> raw_s = {"prog", "--workload=des", "--n", "3"};

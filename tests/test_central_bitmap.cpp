@@ -121,6 +121,50 @@ void churn(int k, std::size_t threads, std::uint64_t per_thread) {
   assert(t.get(Counter::pop_empty) > 0);
 }
 
+// Dense-window pop cost (A15): k = 4096 with 2560 resident tasks under
+// steady push+pop churn.  Pop descends the min-index to one word, so it
+// loads ~114 slots per pop; the full occupancy scan it falls back to
+// loads every resident slot (~2490 per pop if every pop took it).  Single
+// place: every task comes back exactly once and no pop is contended.
+void dense_window_descent() {
+  const int k = 4096;
+  StorageConfig cfg;
+  cfg.k_max = k;
+  cfg.default_k = k;
+  StatsRegistry stats(1);
+  CentralizedKpq<TestTask> storage(1, cfg, &stats);
+  auto& place = storage.place(0);
+  Xoshiro256 rng(1);
+  std::vector<std::uint8_t> seen;
+  const auto push_one = [&] {
+    kps::push(storage, place, k, {rng.next_unit(), seen.size()});
+    seen.push_back(0);
+  };
+  const auto take = [&](const TestTask& task) {
+    assert(task.payload < seen.size() && seen[task.payload] == 0);
+    seen[task.payload] = 1;
+  };
+  for (int i = 0; i < 2560; ++i) push_one();
+  for (int i = 0; i < 20000; ++i) {
+    push_one();
+    const auto task = storage.pop(place);
+    assert(task);
+    take(*task);
+  }
+  while (auto task = storage.pop(place)) take(*task);
+  assert(std::count(seen.begin(), seen.end(), 1) ==
+         static_cast<std::ptrdiff_t>(seen.size()));
+
+  const PlaceStats t = stats.total();
+  assert(t.get(Counter::pop_contended) == 0);
+  const double slot_loads_per_pop =
+      static_cast<double>(t.get(Counter::slot_loads)) /
+      static_cast<double>(t.get(Counter::tasks_executed));
+  std::printf("  dense window: %.1f slot loads per pop (k=%d)\n",
+              slot_loads_per_pop, k);
+  assert(slot_loads_per_pop <= 128.0);
+}
+
 // PR-5 regression (counter split): drain vs contention must be
 // distinguishable.  Deterministic single-threaded: a pop on an empty
 // structure is pop_empty, never pop_contended.
@@ -214,6 +258,7 @@ int main() {
   churn(1024, 4, 20000);  // 16 words
   churn(4096, 2, 30000);  // sparse large-k
   churn(1, 2, 5000);      // degenerate 1-slot window
+  dense_window_descent();
   counter_split_empty();
   overflow_recheck_race();
   std::printf("test_central_bitmap: OK\n");

@@ -568,6 +568,22 @@ void test_spec_parser() {
     assert(!fp::apply_spec("a.b=explode").empty());    // unknown action
     assert(!fp::apply_spec("a.b=fail:p=2").empty());   // p out of range
     assert(!fp::apply_spec("a.b=fail:zz=1").empty());  // unknown key
+    // Numbers a u64 or a probability cannot hold are rejected, not
+    // wrapped: 2^64 used to parse as 0, which silenced the seam.
+    assert(!fp::apply_spec("a.b=fail:count=18446744073709551616").empty());
+    assert(!fp::apply_spec("a.b=fail:seed=99999999999999999999").empty());
+    assert(!fp::apply_spec("a.b=fail:p=nan").empty());
+    assert(!fp::apply_spec("a.b=fail:p=-0.5").empty());
+    assert(fp::apply_spec("a.b=fail:count=18446744073709551615").empty());
+    // A 20-digit fraction rounds to p = 1 and fires on every hit; its
+    // digits used to overflow into p ≈ 0.08.
+    assert(fp::apply_spec("spec.p_one=fail:p=0.99999999999999999999")
+               .empty());
+    auto& p_one = fp::site("spec.p_one");
+    int p_one_fired = 0;
+    for (int i = 0; i < 1000; ++i) p_one_fired += p_one.fire() ? 1 : 0;
+    assert(p_one_fired == 1000);
+    fp::disarm_all();
     // Deterministic schedule: skip 3, then exactly 5 certain fires.
     fp::Policy pol;
     pol.action = fp::Action::fail;

@@ -397,24 +397,37 @@ void test_exactness_with_cancellation() {
 // ------------------------------------------------ speculative BnB (A19)
 
 void test_bnb_speculative_exact() {
+  const auto check = [](const KnapsackInstance& instance,
+                        std::string_view name, std::size_t P,
+                        bool speculative) {
+    StorageConfig cfg;
+    cfg.k_max = 16;
+    cfg.default_k = 16;
+    cfg.seed = 5;
+    cfg.enable_lifecycle = speculative;
+    StatsRegistry stats(P);
+    auto storage = make_storage<BnbTask>(std::string(name), P, cfg, &stats);
+    const BnbRun run =
+        speculative ? bnb_parallel_speculative(instance, storage, 16, &stats)
+                    : bnb_parallel(instance, storage, 16, &stats);
+    assert(run.best_profit == knapsack_dp(instance));
+    const PlaceStats totals = stats.total();
+    assert(totals.get(Counter::tasks_spawned) ==
+           totals.get(Counter::tasks_executed) +
+               totals.get(Counter::tasks_shed) +
+               totals.get(Counter::tasks_cancelled));
+  };
   const KnapsackInstance inst = knapsack_instance(26, 5);
-  const std::uint64_t opt = knapsack_dp(inst);
-  for (const std::string_view name : kStorageNames) {
-    for (const std::size_t P : {std::size_t{1}, std::size_t{4}}) {
-      StorageConfig cfg;
-      cfg.k_max = 16;
-      cfg.default_k = 16;
-      cfg.seed = 5;
-      cfg.enable_lifecycle = true;
-      StatsRegistry stats(P);
-      auto storage = make_storage<BnbTask>(std::string(name), P, cfg, &stats);
-      const BnbRun run = bnb_parallel_speculative(inst, storage, 16, &stats);
-      assert(run.best_profit == opt);
-      const PlaceStats totals = stats.total();
-      assert(totals.get(Counter::tasks_spawned) ==
-             totals.get(Counter::tasks_executed) +
-                 totals.get(Counter::tasks_shed) +
-                 totals.get(Counter::tasks_cancelled));
+  // The strongly correlated instance: incumbents improve late, so the
+  // speculative run cancels the most there.
+  const KnapsackInstance hard = knapsack_instance_hard(30, 1);
+  for (const std::size_t P : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::string_view name : kStorageNames) {
+      check(inst, name, P, true);
+    }
+    for (const std::string_view name : {"centralized", "hybrid"}) {
+      check(hard, name, P, false);
+      check(hard, name, P, true);
     }
   }
   // Lifecycle-off storage is a fail-fast error, not a silent fallback.
@@ -429,7 +442,9 @@ void test_bnb_speculative_exact() {
     threw = true;
   }
   assert(threw);
-  std::printf("  speculative BnB exact vs DP, 6 storages x P in {1,4}\n");
+  std::printf("  speculative BnB exact vs DP, 6 storages x P in {1,4}; "
+              "hard instance best-first and speculative, centralized and "
+              "hybrid\n");
 }
 
 // ------------------------------------------------------- timer wheel

@@ -275,10 +275,16 @@ void test_full_ring_fallback() {
     kps::push(storage, pusher, 4,
               {static_cast<double>(i % 17), i});
   }
+  // Nobody folds during the flood, so exactly the ring's capacity of
+  // runs is mailed and every later publish falls back to a self-fold.
   const PlaceStats mid = stats.total();
-  assert(mid.get(Counter::inbox_appends) >= 1);
-  assert(mid.get(Counter::inbox_full_fallbacks) >= 1 &&
-         "a 2-slot ring under a one-sided flood must overflow");
+  assert(mid.get(Counter::publishes) ==
+         kTasks / static_cast<std::uint32_t>(cfg.publish_batch));
+  assert(mid.get(Counter::inbox_appends) ==
+         static_cast<std::uint64_t>(cfg.inbox_slots));
+  assert(mid.get(Counter::inbox_appends) +
+             mid.get(Counter::inbox_full_fallbacks) ==
+         mid.get(Counter::publishes));
   assert_pooled_buffers_hold_capacity(storage);
 
   std::vector<std::uint32_t> drained;

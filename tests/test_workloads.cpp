@@ -5,8 +5,10 @@
 // (max_segments = 2).  Relaxed pop order may cost deferrals / pruned
 // pops / re-expansions, never results.  Storages are built through the
 // registry facade — the checks iterate kStorageNames, so a storage added
-// to the registry is swept here automatically.  The deterministic unit
-// check of the segment-store spill lives in test_mailbox (fold unit).
+// to the registry is swept here automatically.  The DES virtual-time
+// floor must also cost the same loads per pop at 1024 and 16384 chains
+// (A16).  The deterministic unit check of the segment-store spill lives
+// in test_mailbox (fold unit).
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -37,9 +39,9 @@ AnyStorage<TaskT> named_storage(const std::string& name, std::size_t P,
 
 // ----------------------------------------------------------------- DES
 
-void check_des(const std::string& label, const std::string& name,
-               const DesParams& params, const DesOutcome& oracle,
-               std::size_t P, int k, StorageConfig extra = {}) {
+DesRun check_des(const std::string& label, const std::string& name,
+                 const DesParams& params, const DesOutcome& oracle,
+                 std::size_t P, int k, StorageConfig extra = {}) {
   StatsRegistry stats(P);
   auto storage =
       named_storage<DesTask>(name, P, k, params.seed, stats, extra);
@@ -64,6 +66,7 @@ void check_des(const std::string& label, const std::string& name,
   assert(run.runner.wasted == run.deferred);
   assert(hook_pops.load(std::memory_order_relaxed) ==
          run.runner.expanded + run.runner.wasted);
+  return run;
 }
 
 // ----------------------------------------------------------------- BnB
@@ -170,6 +173,32 @@ int main() {
         check_des(std::string(name) + "/defer", name, params, oracle, P, k);
       }
     }
+  }
+
+  // --- DES floor cost (A16): the virtual-time floor is one min-index
+  // root load per windowed pop plus a 64-entry block heal per commit, so
+  // loads per pop must not grow with the chain count.  An O(chains) floor
+  // scan would grow 16x from 1024 to 16384 chains.
+  for (std::size_t P : {std::size_t{1}, std::size_t{4}}) {
+    double per_pop[2] = {0, 0};
+    for (int big = 0; big < 2; ++big) {
+      DesParams params;
+      params.chains = big ? 16384 : 1024;
+      params.stations = 64;
+      params.horizon = 4.0;
+      params.window = 4.0;
+      params.seed = 1;
+      const DesRun run = check_des("hybrid/floor", "hybrid", params,
+                                   des_sequential(params), P, 256);
+      per_pop[big] = static_cast<double>(run.floor_loads) /
+                     static_cast<double>(run.runner.expanded +
+                                         run.runner.wasted);
+    }
+    std::printf("  DES floor loads per pop at P=%zu: %.1f (1024 chains), "
+                "%.1f (16384 chains)\n",
+                P, per_pop[0], per_pop[1]);
+    assert(per_pop[0] > 0 && per_pop[1] > 0);
+    assert(per_pop[1] <= 2.0 * per_pop[0]);
   }
 
   // --- Branch-and-bound: two seeded instances, DP oracle.
