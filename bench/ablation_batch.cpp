@@ -13,7 +13,7 @@
 //      dominates; then everything is drained to show the pop side pays at
 //      most a modest price for the segment indirection.  The inbox
 //      columns show where the mail went: at P = 1 every run is mailed to
-//      self, the ring fills after inbox_slots appends (nothing folds it
+//      self, the ring fills after kInboxSlots appends (nothing folds it
 //      until the drain), and later runs take the accounted self-fold
 //      fallback.
 //   2. SSSP end-to-end across the same batch sweep (wasted work must not
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   Args args(argc, argv, {"P", "k", "churn-ops"});
   Workload w = workload_from_args(args);
   const std::uint64_t P = args.value("P", 8);
-  const int k = args.value_as<int>("k", 256);
+  const int k = args.value_as<int>("k", 256, 1);
   const std::uint64_t ops = args.value("churn-ops", 1000000);
   const std::vector<int> batches = {1, 16, 64, 256, 1024};
 
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   std::printf("# producers=%llu runs_per_producer=%llu run_len=64\n",
               static_cast<unsigned long long>(P > 1 ? P - 1 : 1),
               static_cast<unsigned long long>(flood_runs));
-  std::printf("inbox_slots,append_p50_ns,append_p99_ns,append_max_ns,"
+  std::printf("ring_slots,append_p50_ns,append_p99_ns,append_max_ns,"
               "appends,inbox_full_fallbacks,appends_per_s\n");
   for (const std::size_t slots : {16, 64, 256}) {
     const RingFlood r = inbox_flood(P > 1 ? P - 1 : 1, slots,

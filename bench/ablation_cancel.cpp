@@ -73,17 +73,11 @@ int main(int argc, char** argv) {
             std::vector<std::string>{"storage", "P", "k", "items", "seed",
                                      "expire-after", kFailSpecFlag});
   const std::size_t P = args.value("P", 2);
-  const int k = args.value_as<int>("k", 64);
+  const int k = args.value_as<int>("k", 64, 1);
   const std::uint64_t seed = args.value("seed", 1);
   const std::size_t items = args.value("items", 30);
   const std::uint64_t expire_after = args.value("expire-after", 4);
   const std::vector<std::string> storages = storages_from_args(args);
-  // Both panels need cancel(); fail fast with the capability table
-  // rather than silently running a no-op lifecycle.
-  for (const std::string& name : storages) {
-    require_capability(name, /*need_cancel=*/true,
-                       /*need_reprioritize=*/false);
-  }
   apply_fail_spec(args);
 
   std::printf("# ablation_cancel (A19) — handle-based cancellation: "

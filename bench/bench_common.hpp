@@ -75,13 +75,11 @@ class Args {
   }
 
   /// Lifecycle capability matrix of every registered storage, as printed
-  /// by --help: which names honour cancel() / reprioritize().
+  /// by --help: every name honours cancel(); which honour reprioritize().
   static void print_capability_table() {
-    std::printf("registered storages (lifecycle capabilities):\n");
+    std::printf("registered storages (all cancel):\n");
     for (const StorageCapability& row : registry_capabilities()) {
-      std::printf("  %-12s cancel=%s reprioritize=%s\n",
-                  std::string(row.name).c_str(),
-                  row.caps.cancel ? "yes" : "no",
+      std::printf("  %-12s reprioritize=%s\n", std::string(row.name).c_str(),
                   row.caps.reprioritize ? "yes" : "no");
     }
   }
@@ -216,9 +214,12 @@ class Args {
   }
 
   /// Integer flag read into a narrower type T: a value T cannot hold
-  /// exits 2 instead of wrapping (`--k 4294967552` would run with 256).
+  /// exits 2 instead of wrapping (`--k 4294967552` would run with 256),
+  /// and so does one below `min` (`--k 0` would otherwise abort inside a
+  /// storage constructor).
   template <typename T>
-  T value_as(const std::string& name, T def) const {
+  T value_as(const std::string& name, T def,
+             T min = std::numeric_limits<T>::min()) const {
     if (!flag(name)) return def;
     const std::uint64_t v = value(name, 0);
     T out{};
@@ -227,6 +228,12 @@ class Args {
                    name.c_str(),
                    static_cast<unsigned long long>(
                        std::numeric_limits<T>::max()),
+                   static_cast<unsigned long long>(v));
+      std::exit(2);
+    }
+    if (out < min) {
+      std::fprintf(stderr, "error: --%s must be at least %lld, got %llu\n",
+                   name.c_str(), static_cast<long long>(min),
                    static_cast<unsigned long long>(v));
       std::exit(2);
     }
@@ -377,31 +384,6 @@ inline std::string storage_from_args(const Args& args,
   return name;
 }
 
-/// Fail-fast lifecycle-capability gate (PR 7, same philosophy as the
-/// unknown-name diagnostics): a bench that needs cancel or reprioritize
-/// refuses to run against a storage that would silently no-op it, and
-/// the error enumerates the whole capability table so the operator can
-/// pick a legal name without reading the source.
-inline void require_capability(const std::string& name, bool need_cancel,
-                               bool need_reprioritize) {
-  const auto caps = storage_caps_for(name);
-  if (!caps) {
-    std::fprintf(stderr, "error: unknown storage '%s' (registered:%s)\n",
-                 name.c_str(), storage_names_joined().c_str());
-    std::exit(2);
-  }
-  if ((need_cancel && !caps->cancel) ||
-      (need_reprioritize && !caps->reprioritize)) {
-    std::fprintf(stderr,
-                 "error: storage '%s' lacks a required lifecycle "
-                 "capability (need%s%s)\n",
-                 name.c_str(), need_cancel ? " cancel" : "",
-                 need_reprioritize ? " reprioritize" : "");
-    Args::print_capability_table();
-    std::exit(2);
-  }
-}
-
 inline std::vector<std::string> storages_from_args(
     const Args& args, const std::string& def = "all") {
   const std::string which = args.value_s(kStorageFlag, def);
@@ -479,7 +461,6 @@ class TelemetrySession {
     // the control block), so the instrumented run turns lifecycle on.
     cfg.enable_lifecycle = true;
     obs_.pop_latency = pop_latency_.get();
-    obs_.queue_delay = queue_delay_.get();
     obs_.tracer = tracer_.get();
     obs_.telemetry = telemetry_.get();
     telemetry_->start();

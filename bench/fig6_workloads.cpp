@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   Sweep sw;
   sw.storages = storages_from_args(args);
   sw.maxp = args.value("maxp", 8);
-  sw.k = args.value_as<int>("k", 256);
+  sw.k = args.value_as<int>("k", 256, 1);
   sw.seed = args.value("seed", 1);
   const bool paper = args.flag("paper");
 

@@ -221,8 +221,8 @@ int main(int argc, char** argv) {
     cfg.storages = storages_from_args(args);
   }
   cfg.maxp = std::max<std::size_t>(args.value("maxp", 8), 1);
-  cfg.k_max = args.value_as<int>("k-max", 4096);
-  cfg.interval = args.value_as<std::uint32_t>("interval", 64);
+  cfg.k_max = args.value_as<int>("k-max", 4096, 1);
+  cfg.interval = args.value_as<std::uint32_t>("interval", 64, 1);
   cfg.seed = args.value("seed", 1);
   cfg.reps = std::max<std::uint64_t>(args.value("reps", 10), 1);
   cfg.policies = k_policy_from_args(args);

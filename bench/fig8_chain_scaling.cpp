@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const std::uint64_t maxchains =
       args.value("maxchains", args.flag("paper") ? 100000 : 65536);
   const std::size_t P = args.value("P", 4);
-  const int k = args.value_as<int>("k", 256);
+  const int k = args.value_as<int>("k", 256, 1);
 
   DesParams base;
   base.stations = args.value_as<std::uint32_t>("stations", 64);

@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     w.graphs = 1;
   }
   const std::size_t P = args.value("P", 2);
-  const int k = args.value_as<int>("k", 64);
+  const int k = args.value_as<int>("k", 64, 1);
   const std::uint64_t seed = args.value("seed", 1);
   const std::uint64_t tasks = args.value("tasks", 20000);
   const std::vector<std::string> storages = storages_from_args(args);

@@ -75,6 +75,11 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
 
+  /// Inbox capacity in runs (see mail_run for a full ring), and the cap
+  /// on live segments per owner-folded store (see maybe_spill_segments).
+  static constexpr std::size_t kInboxSlots = 64;
+  static constexpr std::size_t kMaxSegments = 64;
+
   /// One pre-sorted run inside a place's owner-folded store; `head`
   /// indexes the best not-yet-consumed task.  Exhausted segments park
   /// their slot on a free list and their vector on a pool, so
@@ -126,12 +131,13 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     // Owner-only round-robin cursor for publish targets (same ownership
     // argument as flush_buf).
     std::uint64_t publish_cursor = 0;
-    // Owner-only staging of recycled run capacity for dispatch_runs:
-    // topped up from run_pool while the publish still holds private_lock,
-    // drawn after it drops (same ownership argument as flush_buf).
-    // Closes the buffer cycle mail → fold → claim → recycle → next mail,
-    // so a steady-state publish allocates nothing.
-    std::vector<std::vector<Entry>> mail_pool;
+    // Owner-only pool of emptied run buffers: a buffer returns here when
+    // this place's thread exhausts its segment (own pop or spy) or spills
+    // it, and the next publish draws its chunk buffers from here.  Closes
+    // the buffer cycle mail → fold → claim → recycle → next mail, so a
+    // steady-state publish allocates nothing (same ownership argument as
+    // flush_buf).
+    std::vector<std::vector<Entry>> run_pool;
     // Owner-folded store: segments from folded inbox entries plus a cold
     // heap fed by the spill policy.  Everything below is mutated only
     // under private_lock (by the owner on fold/claim, by a spy that won
@@ -139,7 +145,6 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     std::vector<Segment> segments KPS_GUARDED_BY(private_lock);
     std::vector<std::uint32_t> segment_free KPS_GUARDED_BY(private_lock);
     DaryHeap<SegHead, SegHeadLess, 4> seg_index KPS_GUARDED_BY(private_lock);
-    std::vector<std::vector<Entry>> run_pool KPS_GUARDED_BY(private_lock);
     DaryHeap<Entry, detail::LcEntryLess, 4> cold_heap
         KPS_GUARDED_BY(private_lock);
     // Spill scratch: touched only inside maybe_spill_segments.
@@ -170,9 +175,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   HybridKpq(std::size_t places, StorageConfig cfg, StatsRegistry* stats = nullptr)
       : StorageBase<HybridKpq, TaskT>(cfg), places_(places ? places : 1) {
     this->init_places(places_, stats);
-    for (Place& p : places_) {
-      p.inbox.init(static_cast<std::size_t>(cfg.inbox_slots));
-    }
+    for (Place& p : places_) p.inbox.init(kInboxSlots);
   }
 
   std::size_t places() const { return places_.size(); }
@@ -232,9 +235,6 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     p.private_heap.extract_sorted_segment(p.flush_buf);
     p.pushes_since_publish = 0;
     p.publish_private_min();
-    const auto batch = static_cast<std::size_t>(
-        this->cfg_.publish_batch > 1 ? this->cfg_.publish_batch : 1);
-    stage_mail_buffers(p, (p.flush_buf.size() + batch - 1) / batch);
     p.private_lock.unlock();
 
     // Seam: between the private flush and the inbox commits the flushed
@@ -244,7 +244,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     KPS_FAILPOINT("hybrid.publish.flush");
 
     const std::size_t flushed = p.flush_buf.size();
-    dispatch_runs(p, batch);
+    dispatch_runs(p);
     p.counters->inc(Counter::publishes);
     p.counters->inc(Counter::published_items, flushed);
     detail::trace_ev(p, TraceEv::publish,
@@ -254,14 +254,16 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// Split the ascending flush into segments of at most publish_batch
   /// tasks and mail each one; successive segments rotate over targets so
   /// one large flush spreads instead of flooding a single peer.
-  void dispatch_runs(Place& p, std::size_t batch) {
+  void dispatch_runs(Place& p) {
+    const auto batch = static_cast<std::size_t>(
+        this->cfg_.publish_batch > 1 ? this->cfg_.publish_batch : 1);
     const std::size_t flushed = p.flush_buf.size();
     for (std::size_t off = 0; off < flushed; off += batch) {
       const std::size_t n = std::min(batch, flushed - off);
       std::vector<Entry> run;
-      if (!p.mail_pool.empty()) {
-        run = std::move(p.mail_pool.back());
-        p.mail_pool.pop_back();
+      if (!p.run_pool.empty()) {
+        run = std::move(p.run_pool.back());
+        p.run_pool.pop_back();
       }
       run.reserve(n);
       run.insert(run.end(),
@@ -303,7 +305,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     Place& target = pick_target(p);
     const double best = static_cast<double>(run.front().task.priority);
     // Seam first: an injected append failure exercises the full-ring
-    // fallback without actually filling inbox_slots slots.
+    // fallback without actually filling the ring.
     const bool appended = !KPS_FAILPOINT_FAIL("hybrid.inbox.append") &&
                           target.inbox.try_push(std::move(run));
     if (appended) {
@@ -390,7 +392,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
         // events (publish, fold, spy miss) restore the full sweep.
         global_pub_min_.store(foreign, std::memory_order_release);
       }
-      Entry e = claim_best(p);
+      Entry e = claim_best(p, p);
       p.publish_private_min();
       if (this->ledger_.claim_popped(e, p.index)) {
         p.private_lock.unlock();
@@ -459,26 +461,15 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     return best;
   }
 
-  /// Return a run buffer's capacity to the owner's pool.  Retention is
-  /// capped at one ring's worth: inflow is unbounded for a place that
-  /// receives more mail than it sends (the flood victim), and beyond the
-  /// ring capacity a publish burst can never draw more anyway.
-  void recycle_run(Place& p, std::vector<Entry>&& run)
-      KPS_REQUIRES(p.private_lock) {
-    if (p.run_pool.size() < p.inbox.capacity()) {
+  /// Return a run buffer's capacity to the pool of `p`, the place whose
+  /// thread emptied it.  Retention is capped at one ring's worth: inflow
+  /// is unbounded for a place that consumes more runs than it mails (the
+  /// flood victim), and beyond the ring capacity a publish burst can
+  /// never draw more anyway.
+  static void recycle_run(Place& p, std::vector<Entry>&& run) {
+    if (p.run_pool.size() < kInboxSlots) {
       run.clear();
       p.run_pool.push_back(std::move(run));
-    }
-  }
-
-  /// Top up the owner's mail_pool to `chunks` staged buffers from
-  /// run_pool.  Called with private_lock already held on the publish
-  /// path; dispatch_runs then draws lock-free (mail_pool is owner-only).
-  void stage_mail_buffers(Place& p, std::size_t chunks)
-      KPS_REQUIRES(p.private_lock) {
-    while (p.mail_pool.size() < chunks && !p.run_pool.empty()) {
-      p.mail_pool.push_back(std::move(p.run_pool.back()));
-      p.run_pool.pop_back();
     }
   }
 
@@ -507,7 +498,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// Segment-spill policy (counter: segment_spills): very small k floods
   /// a store with short runs faster than pops retire them, and every live
   /// segment adds a seg_index entry that folds and pops must sift past.
-  /// Once the live-segment count exceeds cfg_.max_segments, keep only the
+  /// Once the live-segment count exceeds kMaxSegments, keep only the
   /// hottest half (smallest head priorities) as streaming segments and
   /// fold every colder segment's remaining tasks into the COLD heap —
   /// never back into the private heap, which is the republish source
@@ -516,8 +507,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// so relaxation bounds and the advertised minimum are untouched.
   /// Caller refreshes the minima.
   void maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
-    const auto limit = static_cast<std::size_t>(this->cfg_.max_segments);
-    if (p.seg_index.size() <= limit) return;
+    if (p.seg_index.size() <= kMaxSegments) return;
     // Seam: stretch the spill critical section (private_lock held) so
     // racing spies pile up during the fold.
     KPS_FAILPOINT("hybrid.spill");
@@ -526,7 +516,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     while (!p.seg_index.empty()) {
       heads.push_back(p.seg_index.pop());  // ascending head priority
     }
-    const std::size_t keep = std::max<std::size_t>(limit / 2, 1);
+    const std::size_t keep = kMaxSegments / 2;
     for (std::size_t i = 0; i < keep; ++i) p.seg_index.push(heads[i]);
     for (std::size_t i = keep; i < heads.size(); ++i) {
       Segment& s = p.segments[heads[i].seg];
@@ -541,34 +531,34 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     p.counters->inc(Counter::segment_spills);
   }
 
-  /// Extract the best entry of the owner-folded store (precondition: the
-  /// store is non-empty): from whichever container holds store_min(),
-  /// segment heads first on a tie, then the private heap.  A consumed
-  /// segment head advances to the next task; an exhausted segment
-  /// recycles slot and capacity.
-  Entry claim_best(Place& p) KPS_REQUIRES(p.private_lock) {
-    const double m = p.store_min();
-    if (!p.seg_index.empty() && p.seg_index.top().priority == m) {
-      const SegHead h = p.seg_index.pop();
-      Segment& s = p.segments[h.seg];
+  /// Extract the best entry of `owner`'s store on behalf of popping
+  /// place `p` (precondition: the store is non-empty): from whichever
+  /// container holds store_min(), segment heads first on a tie, then the
+  /// private heap.  A consumed segment head advances to the next task;
+  /// an exhausted segment frees its slot and hands its buffer to `p`.
+  Entry claim_best(Place& owner, Place& p) KPS_REQUIRES(owner.private_lock) {
+    const double m = owner.store_min();
+    if (!owner.seg_index.empty() && owner.seg_index.top().priority == m) {
+      const SegHead h = owner.seg_index.pop();
+      Segment& s = owner.segments[h.seg];
       Entry e = std::move(s.run[s.head]);
       ++s.head;
       if (s.head < s.run.size()) {
-        p.seg_index.push(
+        owner.seg_index.push(
             {static_cast<double>(s.run[s.head].task.priority), h.seg});
       } else {
         recycle_run(p, std::move(s.run));
         s.run = std::vector<Entry>();
         s.head = 0;
-        p.segment_free.push_back(h.seg);
+        owner.segment_free.push_back(h.seg);
       }
       return e;
     }
-    if (!p.private_heap.empty() &&
-        static_cast<double>(p.private_heap.top().task.priority) == m) {
-      return p.private_heap.pop();
+    if (!owner.private_heap.empty() &&
+        static_cast<double>(owner.private_heap.top().task.priority) == m) {
+      return owner.private_heap.pop();
     }
-    return p.cold_heap.pop();
+    return owner.cold_heap.pop();
   }
 
   /// Claim the best live task of `owner`'s store on behalf of popping
@@ -578,7 +568,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   std::optional<TaskT> claim_live(Place& owner, Place& p)
       KPS_REQUIRES(owner.private_lock) {
     while (owner.store_min() != kEmptyMin) {
-      Entry e = claim_best(owner);
+      Entry e = claim_best(owner, p);
       owner.publish_private_min();
       if (this->ledger_.claim_popped(e, p.index)) return std::move(e.task);
       this->reaped(p);

@@ -411,13 +411,12 @@ class LifecycleLedger {
 
 }  // namespace detail
 
-/// Which lifecycle operations a storage honours.  `cancel` is universal
-/// in this registry; `reprioritize` requires the storage to actually
-/// order by priority (ws_deque declines: re-keying a task cannot change
-/// its position in a priority-oblivious deque, and advertising the op
-/// would be a lie).
+/// Which optional lifecycle operation a storage honours.  Every storage
+/// cancels; `reprioritize` requires the storage to actually order by
+/// priority (ws_deque declines: re-keying a task cannot change its
+/// position in a priority-oblivious deque, and advertising the op would
+/// be a lie).
 struct StorageCaps {
-  bool cancel = false;
   bool reprioritize = false;
 };
 

@@ -66,17 +66,18 @@ class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
       return this->shed_incoming(p, std::move(task));
     }
 
-    // Bounded retry (the PR-6 livelock fix): the old `while (true)
-    // try_lock a random queue` loop had no progress guarantee — under
+    // Bounded retry (the PR-6 livelock fix): an unbounded "try_lock a
+    // random queue" loop has no progress guarantee — under
     // oversubscription or an injected-failure storm a pusher could spin
-    // forever.  Now: kMaxPushProbes random try_lock probes with capped
-    // exponential backoff, then one *blocking* lock, which the spinlock's
-    // own pause/yield ladder makes a guaranteed-progress path.
-    Backoff backoff;
-    while (!backoff.exhausted(kMaxPushProbes)) {
+    // forever.  So: kMaxPushProbes random try_lock probes with capped
+    // exponential backoff, and a last probe that takes a *blocking* lock,
+    // which the spinlock's own pause/yield ladder makes a
+    // guaranteed-progress path.
+    for (Backoff backoff;; backoff.spin()) {
       Queue& q = queues_[p.rng.next_bounded(queues_.size())];
-      if (KPS_FAILPOINT_FAIL("mq.push.lock") || !q.lock.try_lock()) {
-        backoff.spin();
+      if (backoff.exhausted(kMaxPushProbes)) {
+        q.lock.lock();
+      } else if (KPS_FAILPOINT_FAIL("mq.push.lock") || !q.lock.try_lock()) {
         continue;
       }
       q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
@@ -85,13 +86,6 @@ class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
       this->admitted(p);
       return out;
     }
-    Queue& q = queues_[p.rng.next_bounded(queues_.size())];
-    q.lock.lock();
-    q.heap.push(this->ledger_.wrap(std::move(task), &out.handle));
-    q.publish_top();
-    q.lock.unlock();
-    this->admitted(p);
-    return out;
   }
 
   std::optional<TaskT> pop(Place& p) {

@@ -16,7 +16,7 @@
 //                    bites (fig6: SSSP shrugs at large k, BnB and A* pay
 //                    for every bound-dominated pop), so the controller
 //                    narrows the window when waste is high and widens it
-//                    when waste is low, inside [k_min, k_max], with a
+//                    when waste is low, inside [1, k_max], with a
 //                    hysteresis deadband so it does not oscillate on
 //                    noise (fig7, ablation A14).
 //
@@ -86,45 +86,11 @@ class FixedK {
 static_assert(RelaxationPolicy<FixedK>);
 
 struct AdaptiveKConfig {
-  int k_min = 1;     // never narrower: k = 1 already publishes every push
   int k_max = 1024;  // never wider — also the storage's window capacity
-  int k_start = 0;   // initial window; <= 0 means "start at the geometric
-                     // middle of [k_min, k_max]", so the controller can
-                     // move either way from a neutral prior
 
   // Control cadence: one decision per `interval` pops per place.  Small
   // intervals react faster but sample the ratio noisily.
   std::uint32_t interval = 128;
-
-  // Hysteresis deadband: halve k when the wasted fraction of the last
-  // interval exceeds `lower_above`, double it when the fraction drops
-  // below `raise_below`, hold in between.  The gap is what keeps the
-  // controller from flapping when the workload sits near one threshold.
-  // Defaults: a wasted pop costs about one useful pop, so only narrow
-  // once nearly half the recent pops were waste (relaxation is clearly
-  // being paid for), and only widen when waste is essentially free —
-  // every workload also carries an order-independent waste floor (stale
-  // re-expansions under racing improvements) that narrowing cannot
-  // remove, and the wide deadband keeps the controller from chasing it.
-  double lower_above = 0.45;
-  double raise_below = 0.05;
-
-  // Second hysteresis stage: a move also requires this many CONSECUTIVE
-  // intervals agreeing on the direction.  Waste arrives in bursts (an
-  // incumbent jump prunes a whole frontier at once); a one-interval
-  // spike then crosses lower_above without saying anything about k, and
-  // reacting to it sends the window into a wrong-sign spiral.  Bursts
-  // rarely repeat back-to-back; real regime shifts do.
-  std::uint32_t persistence = 2;
-
-  // Smoothing for the decision signal: the thresholds are compared
-  // against an exponentially-weighted average of interval ratios, not
-  // the raw last interval.  Workloads like DES alternate deferral
-  // storms (all-wasted intervals) with catch-up phases (all-useful
-  // ones); deciding on raw intervals makes the controller chase that
-  // limit cycle up and down the deadband.  ewma_alpha = 1 disables
-  // smoothing (the raw interval ratio decides).
-  double ewma_alpha = 0.4;
 };
 
 /// Per-place multiplicative-move controller on the wasted/expanded ratio.
@@ -135,6 +101,38 @@ struct AdaptiveKConfig {
 /// here ⇒ double it and buy back synchronization.
 class AdaptiveK {
  public:
+  // Never narrower: k = 1 already publishes every push.
+  static constexpr int kMin = 1;
+
+  // Hysteresis deadband: halve k when the smoothed wasted fraction
+  // exceeds kLowerAbove, double it when it drops below kRaiseBelow, hold
+  // in between.  The gap keeps the controller from flapping when the
+  // workload sits near one threshold.  A wasted pop costs about one
+  // useful pop, so only narrow once nearly half the recent pops were
+  // waste (relaxation is clearly being paid for), and only widen when
+  // waste is essentially free — every workload also carries an
+  // order-independent waste floor (stale re-expansions under racing
+  // improvements) that narrowing cannot remove, and the wide deadband
+  // keeps the controller from chasing it.
+  static constexpr double kLowerAbove = 0.45;
+  static constexpr double kRaiseBelow = 0.05;
+
+  // Second hysteresis stage: a move also requires this many CONSECUTIVE
+  // intervals agreeing on the direction.  Waste arrives in bursts (an
+  // incumbent jump prunes a whole frontier at once); a one-interval
+  // spike then crosses kLowerAbove without saying anything about k, and
+  // reacting to it sends the window into a wrong-sign spiral.  Bursts
+  // rarely repeat back-to-back; real regime shifts do.
+  static constexpr std::uint32_t kPersistence = 2;
+
+  // Smoothing for the decision signal: the thresholds are compared
+  // against an exponentially-weighted average of interval ratios, not
+  // the raw last interval.  Workloads like DES alternate deferral
+  // storms (all-wasted intervals) with catch-up phases (all-useful
+  // ones); deciding on raw intervals makes the controller chase that
+  // limit cycle up and down the deadband.
+  static constexpr double kEwmaAlpha = 0.4;
+
   struct PlaceState {
     int k = 1;
     std::uint32_t useful = 0;  // since the last control decision
@@ -147,46 +145,27 @@ class AdaptiveK {
   };
 
   explicit AdaptiveK(AdaptiveKConfig cfg) : cfg_(cfg) {
-    if (cfg_.k_min < 1) {
-      throw std::invalid_argument("AdaptiveK: k_min must be >= 1, got " +
-                                  std::to_string(cfg_.k_min));
-    }
-    if (cfg_.k_max < cfg_.k_min) {
-      throw std::invalid_argument("AdaptiveK: k_max (" +
-                                  std::to_string(cfg_.k_max) +
-                                  ") must be >= k_min (" +
-                                  std::to_string(cfg_.k_min) + ")");
+    if (cfg_.k_max < kMin) {
+      throw std::invalid_argument("AdaptiveK: k_max must be >= " +
+                                  std::to_string(kMin) + ", got " +
+                                  std::to_string(cfg_.k_max));
     }
     if (cfg_.interval == 0) {
       throw std::invalid_argument("AdaptiveK: interval must be >= 1");
     }
-    if (cfg_.persistence == 0) {
-      throw std::invalid_argument("AdaptiveK: persistence must be >= 1");
+    // Start at the geometric middle of [kMin, k_max], as a power-of-two
+    // walk up from kMin (the controller only ever moves by factors of
+    // two), so it can move either way from a neutral prior.
+    k_start_ = kMin;
+    while (k_start_ * 2LL * k_start_ <=
+           static_cast<long long>(kMin) * cfg_.k_max) {
+      k_start_ *= 2;
     }
-    if (!(cfg_.ewma_alpha > 0.0) || cfg_.ewma_alpha > 1.0) {
-      throw std::invalid_argument("AdaptiveK: need 0 < ewma_alpha <= 1");
-    }
-    if (!(cfg_.raise_below >= 0.0) || !(cfg_.lower_above <= 1.0) ||
-        cfg_.raise_below > cfg_.lower_above) {
-      throw std::invalid_argument(
-          "AdaptiveK: need 0 <= raise_below <= lower_above <= 1");
-    }
-    if (cfg_.k_start <= 0) {
-      // Geometric middle of the legal range, as a power-of-two walk up
-      // from k_min (the controller only ever moves by factors of two).
-      int mid = cfg_.k_min;
-      while (mid * 2LL * mid <= static_cast<long long>(cfg_.k_min) *
-                                    cfg_.k_max) {
-        mid *= 2;
-      }
-      cfg_.k_start = mid;
-    }
-    cfg_.k_start = std::clamp(cfg_.k_start, cfg_.k_min, cfg_.k_max);
   }
 
   PlaceState make_place_state(std::size_t /*place*/) const {
     PlaceState s;
-    s.k = cfg_.k_start;
+    s.k = k_start_;
     return s;
   }
 
@@ -202,22 +181,21 @@ class AdaptiveK {
     if (total < cfg_.interval) return;
     const double ratio =
         static_cast<double>(s.wasted) / static_cast<double>(total);
-    s.ratio_ewma = s.ratio_ewma < 0
-                       ? ratio
-                       : (1.0 - cfg_.ewma_alpha) * s.ratio_ewma +
-                             cfg_.ewma_alpha * ratio;
-    const int dir = s.ratio_ewma > cfg_.lower_above   ? -1
-                    : s.ratio_ewma < cfg_.raise_below ? +1
-                                                      : 0;
+    s.ratio_ewma = s.ratio_ewma < 0 ? ratio
+                                    : (1.0 - kEwmaAlpha) * s.ratio_ewma +
+                                          kEwmaAlpha * ratio;
+    const int dir = s.ratio_ewma > kLowerAbove   ? -1
+                    : s.ratio_ewma < kRaiseBelow ? +1
+                                                 : 0;
     if (dir == 0) {
       s.streak_dir = 0;
       s.streak_len = 0;
     } else {
       s.streak_len = dir == s.streak_dir ? s.streak_len + 1 : 1;
       s.streak_dir = dir;
-      if (s.streak_len >= cfg_.persistence) {
-        if (dir < 0 && s.k > cfg_.k_min) {
-          s.k = std::max(cfg_.k_min, s.k / 2);
+      if (s.streak_len >= kPersistence) {
+        if (dir < 0 && s.k > kMin) {
+          s.k = std::max(kMin, s.k / 2);
           ++s.k_lowered;
         } else if (dir > 0 && s.k < cfg_.k_max) {
           s.k = std::min(cfg_.k_max, s.k * 2);
@@ -235,10 +213,9 @@ class AdaptiveK {
     return {s.k, s.k_raised, s.k_lowered};
   }
 
-  const AdaptiveKConfig& config() const { return cfg_; }
-
  private:
   AdaptiveKConfig cfg_;
+  int k_start_ = kMin;
 };
 
 static_assert(RelaxationPolicy<AdaptiveK>);

@@ -70,8 +70,8 @@ struct StorageCapability {
 /// Lifecycle capabilities of every registered storage, in kStorageNames
 /// order.  kCaps is a compile-time property of the storage template
 /// (independent of the task type), so this table cannot drift from what
-/// cancel/reprioritize actually do — bench_common prints it from --help
-/// and require_capability fails fast against it.
+/// reprioritize actually does — bench_common prints it from --help and
+/// ablation_cancel skips the storages that decline.
 inline std::array<StorageCapability, 6> registry_capabilities() {
   using Probe = Task<int, double>;
   return {{

@@ -72,21 +72,6 @@ struct StorageConfig {
   // <= 1 mails one-task runs.
   int publish_batch = 64;
 
-  // Hybrid: cap on live sorted segments per owner-folded store.  Small k
-  // with a large task flood publishes many short runs faster than pops
-  // drain them; once a store holds more than this many live segments,
-  // the cold (worst-priority) half is folded into the owner's cold heap
-  // and the slots recycled, so per-pop segment-index work stays bounded.
-  // Must be >= 1: spilling cannot be switched off.
-  int max_segments = 64;
-
-  // Hybrid: bounded inbox capacity, in runs (one inbox entry is one
-  // pre-sorted segment of at most publish_batch tasks).  Rounded up
-  // to a power of two, minimum 2, by the ring.  A full inbox never
-  // blocks or drops: the publisher keeps the run and folds it into its
-  // own segment store instead (counter inbox_full_fallbacks).
-  int inbox_slots = 64;
-
   // Bounded-capacity backpressure (PR 6): an approximate cap on resident
   // tasks across the whole storage.  0 = unbounded (the default; the
   // capacity gate adds zero work to the hot path).  The count is kept by
@@ -147,13 +132,6 @@ struct StorageConfig {
       return "publish_batch must be >= 0, got " +
              std::to_string(publish_batch);
     }
-    if (max_segments < 1) {
-      return "max_segments must be >= 1, got " +
-             std::to_string(max_segments);
-    }
-    if (inbox_slots < 1) {
-      return "inbox_slots must be >= 1, got " + std::to_string(inbox_slots);
-    }
     if (rank_probe < 0) {
       return "rank_probe must be >= 0 (0 disables), got " +
              std::to_string(rank_probe);
@@ -209,11 +187,6 @@ class CapacityGate {
     if (bounded()) size_.fetch_add(d, std::memory_order_relaxed);
   }
 
-  std::int64_t size() const {
-    // order: relaxed — diagnostic read of the approximate occupancy.
-    return size_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::size_t capacity_ = 0;
   OverflowPolicy policy_ = OverflowPolicy::reject;
@@ -250,13 +223,11 @@ struct PlaceBase {
 /// supplies try_push and keeps its own Place vector, because only it
 /// knows which of its members the places must die before (the
 /// centralized storage's EpochThreads, before its EpochDomain).
-template <typename Derived, typename TaskT, bool kCancel = true,
-          bool kReprioritize = true>
+template <typename Derived, typename TaskT, bool kReprioritize = true>
 class StorageBase {
  public:
-  static constexpr StorageCaps kCaps{kCancel, kReprioritize};
+  static constexpr StorageCaps kCaps{kReprioritize};
 
-  const StorageConfig& config() const { return cfg_; }
   StorageCaps caps() const { return kCaps; }
   bool lifecycle_enabled() const { return ledger_.enabled(); }
 
@@ -267,7 +238,7 @@ class StorageBase {
   bool cancel(PlaceT& p, TaskHandle h) {
     if (!ledger_.cancel(h)) return false;
     p.counters->inc(Counter::tasks_cancelled);
-    detail::trace_ev(p, TraceEv::cancel, kCancelPlain);
+    detail::trace_ev(p, TraceEv::cancel, kPlainCancel);
     return true;
   }
 
@@ -285,7 +256,7 @@ class StorageBase {
       if (!task.has_value()) return out;
       out.detached = true;
       p.counters->inc(Counter::tasks_cancelled);
-      detail::trace_ev(p, TraceEv::cancel, kCancelRekey);
+      detail::trace_ev(p, TraceEv::cancel, kRekeyCancel);
       task->priority = priority;
       out.requeue = static_cast<Derived*>(this)->try_push(
           p, cfg_.default_k, std::move(*task));
@@ -454,9 +425,9 @@ concept TaskStorage = requires(S s, const S cs, typename S::task_type task,
     s.try_push(s.place(0), k, task)
   } -> std::same_as<PushOutcome<typename S::task_type>>;
   { s.pop(s.place(0)) } -> std::same_as<std::optional<typename S::task_type>>;
-  // Lifecycle surface (core/lifecycle.hpp).  Storages without real
-  // support still expose the calls — they advertise refusal through
-  // caps() and return false / {} at runtime.
+  // Lifecycle surface (core/lifecycle.hpp).  Every storage cancels; one
+  // that cannot reprioritize still exposes the call, advertises the
+  // refusal through caps() and detaches nothing.
   { s.cancel(s.place(0), h) } -> std::convertible_to<bool>;
   {
     s.reprioritize(s.place(0), h, task.priority)

@@ -29,8 +29,7 @@ namespace kps {
 
 template <typename TaskT>
 class WsDequePool
-    : public StorageBase<WsDequePool<TaskT>, TaskT, /*kCancel=*/true,
-                         /*kReprioritize=*/false> {
+    : public StorageBase<WsDequePool<TaskT>, TaskT, /*kReprioritize=*/false> {
  public:
   using task_type = TaskT;
   using Entry = detail::LcEntry<TaskT>;
@@ -46,7 +45,7 @@ class WsDequePool
 
   WsDequePool(std::size_t places, StorageConfig cfg,
               StatsRegistry* stats = nullptr)
-      : StorageBase<WsDequePool, TaskT, true, false>(cfg),
+      : StorageBase<WsDequePool, TaskT, false>(cfg),
         places_(places ? places : 1) {
     this->init_places(places_, stats);
   }

@@ -34,8 +34,6 @@ struct SsspResult {
   PlaceStats totals;                // summed per-place storage counters
   std::vector<double> dist;
   std::uint64_t grain_sink = 0;     // keeps the A9 spin work observable
-  HistogramSnapshot pop_latency;    // PR 8: empty unless obs attached
-  HistogramSnapshot queue_delay;
 };
 
 namespace detail {
@@ -118,8 +116,6 @@ SsspResult parallel_sssp(const Graph& g, Graph::node_t src, Storage& storage,
   result.tasks_spawned = r.tasks_spawned;
   result.k_raised = r.k_raised;
   result.k_lowered = r.k_lowered;
-  result.pop_latency = r.pop_latency;
-  result.queue_delay = r.queue_delay;
   for (const Sink& s : sinks) result.grain_sink += s.v;
   result.dist.resize(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -118,10 +118,6 @@ class EpochDomain {
     return t;
   }
 
-  std::uint64_t epoch() const {
-    return global_epoch_.load(std::memory_order_acquire);
-  }
-
  private:
   friend class EpochThread;
 

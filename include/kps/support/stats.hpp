@@ -161,21 +161,4 @@ class StatsRegistry {
   std::vector<PlaceCounters> blocks_;
 };
 
-/// Order statistics over pop rank errors (ablation A1 and DESIGN.md §ρ):
-/// rank = number of strictly better live tasks a relaxed pop bypassed.
-struct RankStats {
-  std::uint64_t samples = 0;
-  std::uint64_t max = 0;
-  double sum = 0;
-
-  void add(std::uint64_t rank) {
-    ++samples;
-    sum += static_cast<double>(rank);
-    if (rank > max) max = rank;
-  }
-  double mean() const {
-    return samples ? sum / static_cast<double>(samples) : 0.0;
-  }
-};
-
 }  // namespace kps

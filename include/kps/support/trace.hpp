@@ -45,7 +45,7 @@ enum class TraceEv : std::uint16_t {
   steal,       // work-stealing: tasks migrated (arg = count)
   spy,         // hybrid: claim from a foreign private queue (arg = victim)
   shed,        // capacity: task left unexecuted (arg = kShed* code)
-  cancel,      // lifecycle: residency tombstoned (arg = kCancel* code)
+  cancel,      // lifecycle: residency tombstoned (arg = k*Cancel code)
   timer_fire,  // timer wheel: deadline actions delivered (arg = count)
   stall,       // telemetry stall rule: place stalled (arg = streak)
   inbox_append,  // hybrid mailbox: run committed to an inbox (arg = target)
@@ -83,8 +83,8 @@ inline const char* trace_ev_name(TraceEv e) {
 inline constexpr std::uint64_t kShedRejected = 0;   // reject policy refusal
 inline constexpr std::uint64_t kShedIncoming = 1;   // shed-lowest dropped it
 inline constexpr std::uint64_t kShedDisplaced = 2;  // resident evicted
-inline constexpr std::uint64_t kCancelPlain = 0;    // cancel()
-inline constexpr std::uint64_t kCancelRekey = 1;    // reprioritize detach
+inline constexpr std::uint64_t kPlainCancel = 0;    // cancel()
+inline constexpr std::uint64_t kRekeyCancel = 1;    // reprioritize detach
 
 struct TraceRecord {
   std::uint64_t tick = 0;     // tracer pop clock at emit time

@@ -265,17 +265,13 @@ BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
 /// pop-time recheck.  Correctness is untouched: only ub <= incumbent
 /// nodes are cancelled, exactly the ones the recheck would discard.
 ///
-/// Requires a cancel-capable storage with lifecycle enabled
-/// (cfg.enable_lifecycle); anything else is a hard error, mirroring the
-/// registry's unknown-name diagnostics.
+/// Requires a storage with lifecycle enabled (cfg.enable_lifecycle);
+/// anything else is a hard error, mirroring the registry's unknown-name
+/// diagnostics.
 template <typename Storage, typename KPolicy>
 BnbRun bnb_parallel_speculative(const KnapsackInstance& inst,
                                 Storage& storage, KPolicy k_policy,
                                 StatsRegistry* stats = nullptr) {
-  if (!storage.caps().cancel) {
-    throw std::invalid_argument(
-        "bnb_parallel_speculative: storage does not support cancel");
-  }
   if (!storage.lifecycle_enabled()) {
     throw std::invalid_argument(
         "bnb_parallel_speculative: storage built without "

@@ -74,15 +74,13 @@ struct DesParams {
   std::uint32_t stations = 64;
   std::uint32_t chains = 256;    // fixed event population
   double horizon = 50.0;         // no successor beyond this virtual time
-  double lookahead = 0.5;        // minimum service time
-  double service_range = 2.0;    // service ~ lookahead + U(0,1]*range
   double window = 8.0;           // causality window; < 0 disables the rule
   std::uint32_t max_defer = 8;   // lazy re-enqueue budget per event
   std::uint64_t seed = 1;
 
   // PR-7 lifecycle: expire any enqueued event that sits unprocessed for
   // this many logical ticks (runner-wide claimed pops); 0 = never.
-  // Requires a cancel-capable storage with enable_lifecycle.  Expiry is
+  // Requires a storage built with enable_lifecycle.  Expiry is
   // cancel-only — escalation would rewrite an event's timestamp, and the
   // timestamp IS the priority feeding des_transition/des_fingerprint, so
   // changing it corrupts the checksum oracle.  An expired event's chain
@@ -167,6 +165,10 @@ inline std::uint64_t des_fingerprint(std::uint32_t chain, std::uint32_t step,
 
 }  // namespace detail
 
+/// Service time = kDesLookahead (the minimum) + U(0,1] * kDesServiceRange.
+inline constexpr double kDesLookahead = 0.5;
+inline constexpr double kDesServiceRange = 2.0;
+
 struct DesTransition {
   std::uint32_t station;
   double depart;
@@ -182,14 +184,14 @@ inline DesTransition des_transition(const DesParams& p, std::uint32_t chain,
       static_cast<std::uint32_t>(bits % std::max<std::uint32_t>(p.stations, 1));
   const double u =
       static_cast<double>((bits >> 11) + 1) * 0x1.0p-53;  // (0, 1]
-  return {station, t + p.lookahead + u * p.service_range};
+  return {station, t + kDesLookahead + u * kDesServiceRange};
 }
 
 /// Chain c's first event arrives staggered inside one lookahead.
 inline double des_initial_time(const DesParams& p, std::uint32_t chain) {
   const std::uint64_t bits =
       detail::des_bits(p, chain, 0xde5'0000'0000ull | chain);
-  return p.lookahead *
+  return kDesLookahead *
          (static_cast<double>((bits >> 11) + 1) * 0x1.0p-53);
 }
 
@@ -231,10 +233,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   // Deadline expiry (see DesParams::expire_after).  Fail fast PR-4 style
   // rather than silently simulating without expiry.
   const bool expiry = p.expire_after > 0;
-  if (expiry && !storage.caps().cancel) {
-    throw std::invalid_argument(
-        "des_parallel: expire_after needs a cancel-capable storage");
-  }
   if (expiry && !storage.lifecycle_enabled()) {
     throw std::invalid_argument(
         "des_parallel: expire_after needs StorageConfig::enable_lifecycle");

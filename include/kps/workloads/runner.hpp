@@ -79,10 +79,6 @@ struct RunnerResult {
   std::vector<std::uint64_t> expanded_by_place;
   std::vector<std::uint64_t> wasted_by_place;
   std::vector<PolicyReport> policy_by_place;  // final window + move counts
-  // PR 8 observability: merged end-of-run distributions, empty (count 0)
-  // unless the matching RunnerObs histogram was attached.
-  HistogramSnapshot pop_latency;   // ns per successful storage.pop()
-  HistogramSnapshot queue_delay;   // ns from spawn stamp to claimed pop
 };
 
 /// Observability hooks for run_relaxed (PR 8) — all optional, all
@@ -90,16 +86,12 @@ struct RunnerResult {
 ///
 ///   pop_latency — per-place histogram of successful pop() wall latency
 ///                 (two steady_clock reads per successful pop when set).
-///   queue_delay — the histogram StorageConfig::queue_delay points at
-///                 (recorded inside the ledger claim; the runner only
-///                 snapshots it into RunnerResult at the end).
 ///   tracer      — the Tracer the storage places emit into; the runner
 ///                 adds timer_fire events (arg = actions delivered).
 ///   telemetry   — sampling exporter; the runner publishes each place's
 ///                 current AdaptiveK window into its snapshot signals.
 struct RunnerObs {
   Histogram* pop_latency = nullptr;
-  Histogram* queue_delay = nullptr;
   Tracer* tracer = nullptr;
   Telemetry* telemetry = nullptr;
 };
@@ -384,10 +376,6 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   }
   result.totals = stats ? stats->total() : PlaceStats{};
   result.tasks_spawned = result.totals.get(Counter::tasks_spawned);
-  if (obs) {
-    if (obs->pop_latency) result.pop_latency = obs->pop_latency->snapshot();
-    if (obs->queue_delay) result.queue_delay = obs->queue_delay->snapshot();
-  }
   return result;
 }
 

@@ -5,8 +5,8 @@
 //     expanded/wasted/spawned counters on a seeded single-place run
 //     (P = 1 is deterministic, so equality is bit-for-bit);
 //   * the AdaptiveK controller is deterministic in isolation: waste
-//     drives k down to k_min, useful work drives it back to k_max, and
-//     a ratio inside the hysteresis deadband moves nothing;
+//     drives k down to 1, useful work drives it back to k_max, and a
+//     ratio inside the hysteresis deadband moves nothing;
 //   * end-to-end, AdaptiveK stays within [1, k_max] on every window the
 //     runner ever consults (checked by a wrapper policy on the hot
 //     path) and remains oracle-exact on SSSP, DES, BnB and A* at
@@ -66,60 +66,52 @@ void test_fixed_k_matches_legacy() {
 
 void test_controller_dynamics() {
   AdaptiveKConfig acfg;
-  acfg.k_min = 1;
   acfg.k_max = 64;
-  acfg.k_start = 64;
   acfg.interval = 10;
-  acfg.lower_above = 0.25;
-  acfg.raise_below = 0.05;
-  acfg.persistence = 1;   // immediate moves: test the thresholds alone
-  acfg.ewma_alpha = 1.0;  // raw interval ratios: no smoothing lag
   const AdaptiveK pol(acfg);
+  // `n` control intervals of which each holds `wasted` wasted pops.
+  const auto intervals = [&](AdaptiveK::PlaceState& st, int n, int wasted) {
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < 10; ++j) pol.record(st, j >= wasted);
+    }
+  };
 
+  // The window starts at the geometric middle of [1, 64].
   auto st = pol.make_place_state(0);
-  assert(pol.window(st) == 64);
+  assert(pol.window(st) == 8);
 
-  // Pure waste: each full interval halves the window until k_min.
-  for (int i = 0; i < 100; ++i) pol.record(st, false);
+  // Pure waste: every second interval halves the window (persistence 2)
+  // until it reaches 1.
+  intervals(st, 20, 10);
   assert(pol.window(st) == 1);
-  assert(pol.report(st).k_lowered == 6);  // 64→32→16→8→4→2→1
+  assert(pol.report(st).k_lowered == 3);  // 8→4→2→1
 
-  // Pure useful work: doubles back up to k_max, never beyond.
-  for (int i = 0; i < 100; ++i) pol.record(st, true);
+  // Pure useful work: once the smoothed ratio decays below the deadband,
+  // the window doubles back up to k_max, never beyond.
+  intervals(st, 40, 0);
   assert(pol.window(st) == 64);
   assert(pol.report(st).k_raised == 6);
 
-  // Hysteresis deadband: a 10% waste ratio sits between raise_below
-  // (5%) and lower_above (25%) — the window must not move.
-  const PolicyReport before = pol.report(st);
-  for (int round = 0; round < 10; ++round) {
-    pol.record(st, false);
-    for (int i = 0; i < 9; ++i) pol.record(st, true);
-  }
-  const PolicyReport after = pol.report(st);
-  assert(after.k == before.k);
-  assert(after.k_raised == before.k_raised);
-  assert(after.k_lowered == before.k_lowered);
+  // Hysteresis deadband: a steady 10% waste ratio sits between the two
+  // thresholds — the window must not move.
+  auto dst = pol.make_place_state(0);
+  intervals(dst, 50, 1);
+  assert(pol.window(dst) == 8);
+  assert(pol.report(dst).k_raised == 0 && pol.report(dst).k_lowered == 0);
 
-  // Persistence stage: with persistence = 2, a lone waste burst whose
-  // next interval falls back into the deadband must never move k —
-  // the streak is broken before it reaches the required length.
-  AdaptiveKConfig pcfg = acfg;
-  pcfg.persistence = 2;
-  const AdaptiveK ppol(pcfg);
-  auto pst = ppol.make_place_state(0);
+  // Persistence stage: a lone waste burst whose next interval falls back
+  // into the deadband must never move k — the streak is broken before
+  // it reaches the required length.
   for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 10; ++i) ppol.record(pst, false);  // burst
-    // Deadband interval (10% waste) resets the streak.
-    ppol.record(pst, false);
-    for (int i = 0; i < 9; ++i) ppol.record(pst, true);
+    intervals(dst, 1, 10);  // burst
+    intervals(dst, 1, 1);   // deadband interval resets the streak
   }
-  assert(ppol.window(pst) == 64);
-  assert(ppol.report(pst).k_lowered == 0);
+  assert(pol.window(dst) == 8);
+  assert(pol.report(dst).k_lowered == 0);
   // Two CONSECUTIVE waste intervals do move it.
-  for (int i = 0; i < 20; ++i) ppol.record(pst, false);
-  assert(ppol.window(pst) == 32);
-  assert(ppol.report(pst).k_lowered == 1);
+  intervals(dst, 2, 10);
+  assert(pol.window(dst) == 4);
+  assert(pol.report(dst).k_lowered == 1);
 
   std::printf("  AdaptiveK dynamics: halve on waste, double on quiet, "
               "hold in deadband, ignore lone bursts\n");
@@ -135,29 +127,13 @@ void test_bad_controller_configs() {
     }
     return false;
   };
-  AdaptiveKConfig bad_min;
-  bad_min.k_min = 0;
-  assert(rejects(bad_min));
-  AdaptiveKConfig bad_range;
-  bad_range.k_min = 8;
-  bad_range.k_max = 4;
-  assert(rejects(bad_range));
+  AdaptiveKConfig bad_max;
+  bad_max.k_max = 0;
+  assert(rejects(bad_max));
   AdaptiveKConfig bad_interval;
   bad_interval.interval = 0;
   assert(rejects(bad_interval));
-  AdaptiveKConfig bad_thresholds;
-  bad_thresholds.raise_below = 0.5;
-  bad_thresholds.lower_above = 0.1;
-  assert(rejects(bad_thresholds));
-  AdaptiveKConfig bad_persistence;
-  bad_persistence.persistence = 0;
-  assert(rejects(bad_persistence));
-  AdaptiveKConfig bad_alpha;
-  bad_alpha.ewma_alpha = 0.0;
-  assert(rejects(bad_alpha));
-  AdaptiveKConfig bad_alpha2;
-  bad_alpha2.ewma_alpha = 1.5;
-  assert(rejects(bad_alpha2));
+  assert(!rejects(AdaptiveKConfig{}));  // defaults are valid
   std::printf("  AdaptiveK config validation: nonsense rejected\n");
 }
 

@@ -1,5 +1,7 @@
 // Tier-1: bench_common.hpp Args hardening — unknown flags are rejected,
-// values must parse and fit their type, valid command lines pass.
+// values must parse and fit their type and bounds, valid command lines
+// pass.  The bound cases run the real bench binaries from KPS_BENCH_DIR.
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -9,6 +11,44 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+
+namespace {
+
+/// Run KPS_BENCH_DIR/bench with `args` in a forked child: returns its
+/// wait status, with its stderr appended to *err and stdout discarded.
+int run_bench(const std::string& bench, std::vector<std::string> args,
+              std::string* err) {
+  const std::string path = std::string(KPS_BENCH_DIR) + "/" + bench;
+  args.insert(args.begin(), path);
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int fds[2];
+  assert(pipe(fds) == 0);
+  std::fflush(nullptr);
+  const pid_t child = fork();
+  assert(child >= 0);
+  if (child == 0) {
+    dup2(fds[1], 2);
+    dup2(open("/dev/null", O_WRONLY), 1);
+    close(fds[0]);
+    close(fds[1]);
+    execv(path.c_str(), argv.data());
+    _exit(127);
+  }
+  close(fds[1]);
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = read(fds[0], buf, sizeof buf)) > 0) {
+    err->append(buf, static_cast<std::size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  assert(waitpid(child, &status, 0) == child);
+  return status;
+}
+
+}  // namespace
 
 int main() {
   using kps::bench::Args;
@@ -151,6 +191,33 @@ int main() {
     int status = 0;
     assert(waitpid(child, &status, 0) == child);
     assert(WIFEXITED(status) && WEXITSTATUS(status) == 2);
+  }
+
+  // Lower bound: a zero window or interval exits 2 naming the bound,
+  // instead of an uncaught invalid_argument from a storage or policy
+  // constructor aborting the bench.
+  const struct {
+    const char* bench;
+    const char* flag;
+  } zero_flags[] = {
+      {"fig6_workloads", "--k"},   {"fig8_chain_scaling", "--k"},
+      {"fig9_degradation", "--k"}, {"ablation_batch", "--k"},
+      {"ablation_cancel", "--k"},  {"fig7_adaptive", "--k-max"},
+      {"fig7_adaptive", "--interval"},
+  };
+  for (const auto& z : zero_flags) {
+    std::string child_err;
+    const int status = run_bench(z.bench, {z.flag, "0"}, &child_err);
+    const std::string want =
+        std::string("error: ") + z.flag + " must be at least 1, got 0";
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 2 ||
+        child_err.find(want) == std::string::npos) {
+      std::fprintf(stderr, "%s %s 0: %s %d (want exit 2), stderr: %s\n",
+                   z.bench, z.flag, WIFEXITED(status) ? "exit" : "signal",
+                   WIFEXITED(status) ? WEXITSTATUS(status) : WTERMSIG(status),
+                   child_err.c_str());
+      assert(false && "a zero flag value must exit 2 with the bound");
+    }
   }
 
   // String accessor end-to-end, attached spelling included.

@@ -74,9 +74,8 @@ void test_capability_registry() {
   assert(table.size() == std::size(kStorageNames));
   for (std::size_t i = 0; i < table.size(); ++i) {
     assert(table[i].name == kStorageNames[i]);
-    assert(table[i].caps.cancel);  // every storage tombstones in O(1)
-    // ws_deque is FIFO-block-structured: detach+re-push would split
-    // blocks, so it advertises (and refuses) reprioritize.
+    // ws_deque ignores priorities: a re-keyed task would keep its deque
+    // position, so it declines reprioritize (and detaches nothing).
     assert(table[i].caps.reprioritize == (table[i].name != "ws_deque"));
   }
   assert(!storage_caps_for("no_such_storage").has_value());
@@ -86,7 +85,7 @@ void test_capability_registry() {
   // reprioritize is a harmless no-op (detached == false), not UB.
   StatsRegistry stats(1);
   auto ws = build("ws_deque", 1, 4, 1, stats);
-  assert(ws.caps().cancel && !ws.caps().reprioritize);
+  assert(!ws.caps().reprioritize);
   assert(ws.lifecycle_enabled());
   const auto out = ws.try_push(ws.place(0), 4, {1.0, 7});
   assert(out.handle.valid());
@@ -100,7 +99,7 @@ void test_capability_registry() {
   off.default_k = 4;
   StatsRegistry stats_off(1);
   auto plain = make_storage<SsspTask>("global_pq", 1, off, &stats_off);
-  assert(!plain.lifecycle_enabled() && plain.caps().cancel);
+  assert(!plain.lifecycle_enabled() && plain.caps().reprioritize);
   const auto h = plain.try_push(plain.place(0), 4, {1.0, 1}).handle;
   assert(!h.valid());
   assert(!plain.cancel(plain.place(0), h));

@@ -7,30 +7,29 @@
 //   * MpscRing concurrency: P producers blast one consumer's ring with
 //     the full-ring fallback live; every value arrives exactly once
 //     (the CI tsan job runs this under TSan).
-//   * Mailbox fold unit: P = 1 self-mailing at publish_batch = 2 /
-//     max_segments = 4 must merge + spill through the owner-folded store
-//     and still pop in exact global order.
-//   * Full-ring accounting: a 2-slot inbox under a one-sided flood must
-//     take the self-fold fallback (inbox_full_fallbacks), conserve every
-//     task, and bank only buffers that carry capacity.
-//   * Conservation churn through the inbox path at P in {2, 4, 8}, with
-//     the new seams (hybrid.inbox.append / hybrid.inbox.fold) armed
-//     when failpoints are compiled in.
+//   * Mailbox fold unit: P = 1 self-mailing at publish_batch = 2 pushes
+//     past kMaxSegments live segments, so the owner-folded store must
+//     merge + spill and still pop in exact global order.
+//   * Full-ring accounting: the kInboxSlots-run inbox under a one-sided
+//     flood must take the self-fold fallback (inbox_full_fallbacks),
+//     conserve every task, and bank only buffers that carry capacity.
+//   * Conservation churn through the inbox path at P in {2, 4, 8}: a
+//     tight variant whose push-only phase overflows every ring, and the
+//     seams (hybrid.inbox.append / hybrid.inbox.fold) armed when
+//     failpoints are compiled in.
 //   * Oracle exactness: SSSP and DES reproduce their sequential oracles
-//     with the mailbox hybrid at P in {1, 4, 8}, including inbox_slots
-//     pressure points; the published-tier round trip stays counted
-//     (publishes / inbox_appends / inbox_folds all move).
+//     with the mailbox hybrid at P in {1, 4, 8}, including a DES whose
+//     seeding alone overflows every ring; the published-tier round trip
+//     stays counted (publishes / inbox_appends / inbox_folds all move).
 //   * Lifecycle in transit: cancel and reprioritize land on tasks whose
 //     segment is still UNFOLDED in a peer's inbox ring — the tombstone
 //     rides the mail and is reaped at the fold-side claim point.
-//   * Config: inbox_slots < 1 is rejected by StorageConfig::validate().
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,27 +183,26 @@ void drain_all(Storage& storage, std::vector<std::uint32_t>& out) {
 // ------------------------------------------------- mailbox fold unit
 // P = 1: every publish mails to self, every pop folds.  An adversarial
 // decreasing-priority stream: k = 8, publish_batch = 2 splits every
-// publish into 4 fresh segments, so the first 128 pushes with no
-// interleaved pops blow through max_segments = 4.  The last 4 pushes —
-// the best tasks — stay in the private heap, so the drain must pick
-// among all three containers (private heap, segment heads, cold heap).
-// The owner-folded store must merge segments, spill into the cold heap,
-// and still hand all 132 tasks back in exact ascending order (single
-// place: the fold happens before any claim, so pop always takes the
-// true minimum).
+// publish into 4 fresh segments, so the first 512 pushes with no
+// interleaved pops make 256 runs: the ring takes kInboxSlots of them,
+// the rest fall back into the store, and the store blows through
+// kMaxSegments.  The last 4 pushes — the best tasks — stay in the
+// private heap, so the drain must pick among all three containers
+// (private heap, segment heads, cold heap).  The owner-folded store must
+// merge segments, spill into the cold heap, and still hand all 516 tasks
+// back in exact ascending order (single place: the fold happens before
+// any claim, so pop always takes the true minimum).
 
 void test_mailbox_fold_unit() {
   StorageConfig cfg;
   cfg.k_max = 8;
   cfg.default_k = 8;
   cfg.publish_batch = 2;
-  cfg.max_segments = 4;
-  cfg.inbox_slots = 64;
   StatsRegistry stats(1);
   HybridKpq<SsspTask> storage(1, cfg, &stats);
   auto& place = storage.place(0);
 
-  const int kTasks = 132;
+  const int kTasks = 516;
   for (int i = 0; i < kTasks; ++i) {
     kps::push(storage, place, 8, {static_cast<double>(kTasks - i), 0u});
   }
@@ -235,9 +233,10 @@ void test_mailbox_fold_unit() {
 }
 
 // --------------------------------------------- full-ring accounting
-// 2-slot inbox at P = 2, all pushes from place 0, no pops until the end:
-// the victim's ring fills after two appends and every later publish must
-// take the self-fold fallback.  Nothing may be lost either way.
+// P = 2, all pushes from place 0, no pops until the end: 100 one-run
+// publishes fill the victim's ring after kInboxSlots appends and every
+// later publish must take the self-fold fallback.  Nothing may be lost
+// either way.
 
 /// Every buffer a place banks for reuse must carry capacity: a
 /// zero-capacity vector takes a pool slot under the one-ring cap and
@@ -245,15 +244,9 @@ void test_mailbox_fold_unit() {
 std::size_t assert_pooled_buffers_hold_capacity(HybridKpq<SsspTask>& storage) {
   std::size_t seen = 0;
   for (std::size_t i = 0; i < storage.places(); ++i) {
-    auto& place = storage.place(i);
-    place.private_lock.lock();
-    for (const auto& buf : place.run_pool) {
+    // Owner-only pools; no thread drives the places here.
+    for (const auto& buf : storage.place(i).run_pool) {
       assert(buf.capacity() != 0 && "zero-capacity buffer in run_pool");
-      ++seen;
-    }
-    place.private_lock.unlock();
-    for (const auto& buf : place.mail_pool) {  // owner-only, quiescent here
-      assert(buf.capacity() != 0 && "zero-capacity buffer in mail_pool");
       ++seen;
     }
   }
@@ -265,12 +258,11 @@ void test_full_ring_fallback() {
   cfg.k_max = 4;
   cfg.default_k = 4;
   cfg.publish_batch = 4;
-  cfg.inbox_slots = 2;
   StatsRegistry stats(2);
   HybridKpq<SsspTask> storage(2, cfg, &stats);
   auto& pusher = storage.place(0);
 
-  const std::uint32_t kTasks = 256;
+  const std::uint32_t kTasks = 400;
   for (std::uint32_t i = 0; i < kTasks; ++i) {
     kps::push(storage, pusher, 4,
               {static_cast<double>(i % 17), i});
@@ -281,7 +273,7 @@ void test_full_ring_fallback() {
   assert(mid.get(Counter::publishes) ==
          kTasks / static_cast<std::uint32_t>(cfg.publish_batch));
   assert(mid.get(Counter::inbox_appends) ==
-         static_cast<std::uint64_t>(cfg.inbox_slots));
+         HybridKpq<SsspTask>::kInboxSlots);
   assert(mid.get(Counter::inbox_appends) +
              mid.get(Counter::inbox_full_fallbacks) ==
          mid.get(Counter::publishes));
@@ -306,11 +298,15 @@ void test_full_ring_fallback() {
 
 // ------------------------------------------------- conservation churn
 // Concurrent pushers/poppers through the inbox path; admitted ==
-// departed as multisets.  With failpoints compiled in, the mailbox
-// seams are armed so the fallback and the fold-stall interleavings get
-// real coverage (the CI tsan/stress jobs run this suite under TSan).
+// departed as multisets.  The tight variant first runs a push-only
+// phase at k = 1, publish_batch 1: every push mails a one-task run and
+// no place pops (so none folds) until all have pushed, so every ring
+// takes kInboxSlots runs and the rest fall back.  With failpoints
+// compiled in, the mailbox seams are armed so the fallback and the
+// fold-stall interleavings get real coverage (the CI tsan/stress jobs
+// run this suite under TSan).
 
-void churn_one(std::size_t P, int inbox_slots, bool arm_seams) {
+void churn_one(std::size_t P, bool tight, bool arm_seams) {
   if (arm_seams && fp::enabled()) {
     const std::string err = fp::apply_spec(
         "hybrid.inbox.append=fail:p=0.3,"
@@ -319,23 +315,36 @@ void churn_one(std::size_t P, int inbox_slots, bool arm_seams) {
     assert(err.empty());
   }
   StorageConfig extra;
-  extra.inbox_slots = inbox_slots;
+  const int k = tight ? 1 : 8;
+  if (tight) extra.publish_batch = 1;
   StatsRegistry stats(P);
-  auto storage = build("hybrid", P, 8, 101 + P, stats, extra);
+  auto storage = build("hybrid", P, k, 101 + P, stats, extra);
 
+  const std::size_t kPushOnly = tight ? 200 : 0;
   const std::size_t kPushes = 1500;
   struct PerThread {
     std::vector<std::uint32_t> admitted;
     std::vector<std::uint32_t> departed;
   };
   std::vector<PerThread> per(P);
+  std::atomic<std::size_t> pushed_only{0};
   auto worker = [&](std::size_t t) {
     auto& place = storage.place(t);
     Xoshiro256 rng(31 * (t + 1));
     PerThread& me = per[t];
-    for (std::size_t i = 0; i < kPushes; ++i) {
-      const auto id = static_cast<std::uint32_t>(t * kPushes + i);
-      if (storage.try_push(place, 8, {rng.next_unit(), id}).accepted) {
+    std::uint32_t id = static_cast<std::uint32_t>(t * (kPushOnly + kPushes));
+    for (std::size_t i = 0; i < kPushOnly; ++i, ++id) {
+      if (storage.try_push(place, k, {rng.next_unit(), id}).accepted) {
+        me.admitted.push_back(id);
+      }
+    }
+    // Barrier: no place pops (and so folds) before every place pushed.
+    pushed_only.fetch_add(1, std::memory_order_acq_rel);
+    while (pushed_only.load(std::memory_order_acquire) < P) {
+      std::this_thread::yield();
+    }
+    for (std::size_t i = 0; i < kPushes; ++i, ++id) {
+      if (storage.try_push(place, k, {rng.next_unit(), id}).accepted) {
         me.admitted.push_back(id);
       }
       if (rng.next_bounded(3) == 0) {
@@ -363,13 +372,18 @@ void churn_one(std::size_t P, int inbox_slots, bool arm_seams) {
   const PlaceStats totals = stats.total();
   assert(totals.get(Counter::inbox_appends) +
              totals.get(Counter::inbox_full_fallbacks) >= 1);
+  if (tight) {
+    // P * kPushOnly one-task runs met P unfolded rings of kInboxSlots.
+    assert(totals.get(Counter::inbox_full_fallbacks) >=
+           P * (kPushOnly - HybridKpq<SsspTask>::kInboxSlots));
+  }
 }
 
 void test_churn_conserves() {
   for (const std::size_t P : {2, 4, 8}) {
-    churn_one(P, 64, /*arm_seams=*/false);
-    churn_one(P, 2, /*arm_seams=*/false);   // fallback-heavy
-    churn_one(P, 64, /*arm_seams=*/true);   // seam-armed (if compiled in)
+    churn_one(P, /*tight=*/false, /*arm_seams=*/false);
+    churn_one(P, /*tight=*/true, /*arm_seams=*/false);   // every ring full
+    churn_one(P, /*tight=*/false, /*arm_seams=*/true);   // seam-armed
   }
   std::printf("  conservation churn through the inbox path: P in "
               "{2,4,8} x {wide,tight,seam-armed} rings OK (failpoints "
@@ -389,15 +403,22 @@ void test_oracles() {
   params.window = 4.0;
   params.seed = 7;
   const DesOutcome des_oracle = des_sequential(params);
+  // The tight variant's DES seeding is a push-only phase at k = 1,
+  // publish_batch 1: 1024 one-task runs before any pop, more than
+  // kInboxSlots for every ring at P <= 8.
+  DesParams flood = params;
+  flood.chains = 1024;
+  const DesOutcome flood_oracle = des_sequential(flood);
 
   for (const std::size_t P : {std::size_t{1}, std::size_t{4},
                               std::size_t{8}}) {
-    for (const int slots : {2, 64}) {
+    for (const bool tight : {false, true}) {
       StorageConfig extra;
-      extra.inbox_slots = slots;
+      const int k = tight ? 1 : 16;
+      if (tight) extra.publish_batch = 1;
       StatsRegistry stats(P);
-      auto storage = build("hybrid", P, 16, 11, stats, extra);
-      const SsspResult r = parallel_sssp(g, 0, storage, 16, &stats);
+      auto storage = build("hybrid", P, k, 11, stats, extra);
+      const SsspResult r = parallel_sssp(g, 0, storage, k, &stats);
       assert(r.dist == truth);
       const PlaceStats totals = stats.total();
       // The round trip is genuinely mailed: publishes happened and each
@@ -413,15 +434,20 @@ void test_oracles() {
 
       StatsRegistry des_stats(P);
       StorageConfig cfg = extra;
-      cfg.k_max = 16;
-      cfg.default_k = 16;
+      cfg.k_max = k;
+      cfg.default_k = k;
       cfg.seed = params.seed;
       auto des_storage = make_storage<DesTask>("hybrid", P, cfg, &des_stats);
-      const DesRun run = des_parallel(params, des_storage, 16, &des_stats);
-      assert(run.outcome == des_oracle);
+      const DesRun run =
+          des_parallel(tight ? flood : params, des_storage, k, &des_stats);
+      assert(run.outcome == (tight ? flood_oracle : des_oracle));
+      if (tight) {
+        assert(des_stats.total().get(Counter::inbox_full_fallbacks) > 0);
+      }
     }
   }
-  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}\n");
+  std::printf("  oracle-exact SSSP + DES at P in {1,4,8}, every ring "
+              "overflowed by the flood seeding\n");
 }
 
 // -------------------------------------------- lifecycle in transit
@@ -436,7 +462,6 @@ void test_lifecycle_in_transit() {
   cfg.default_k = 4;
   cfg.publish_batch = 8;  // one publish = one mailed segment
   cfg.enable_lifecycle = true;
-  cfg.inbox_slots = 16;
   StatsRegistry stats(2);
   HybridKpq<SsspTask> storage(2, cfg, &stats);
   auto& pusher = storage.place(0);
@@ -494,23 +519,6 @@ void test_lifecycle_in_transit() {
               "the mail, ledger exact\n");
 }
 
-// ------------------------------------------------------------- config
-
-void test_config_validation() {
-  StorageConfig bad;
-  bad.inbox_slots = 0;
-  bool threw = false;
-  try {
-    StatsRegistry stats(1);
-    auto s = make_storage<SsspTask>("hybrid", 1, bad, &stats);
-    (void)s;
-  } catch (const std::invalid_argument&) {
-    threw = true;
-  }
-  assert(threw && "inbox_slots = 0 must be rejected");
-  std::printf("  config: inbox_slots < 1 rejected\n");
-}
-
 }  // namespace
 
 int main() {
@@ -518,7 +526,6 @@ int main() {
   test_ring_concurrent();
   test_mailbox_fold_unit();
   test_full_ring_fallback();
-  test_config_validation();
   test_lifecycle_in_transit();
   test_oracles();
   test_churn_conserves();

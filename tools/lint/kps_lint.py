@@ -17,6 +17,12 @@ Rules
   header-hygiene every header has `#pragma once` and never includes
                  <iostream> (header-only library: iostream drags in static
                  init order and ~100 KB of code per TU).
+  option-caller  every field of StorageConfig (core/storage_traits.hpp)
+                 and AdaptiveKConfig (core/relaxation_policy.hpp) is
+                 assigned — `.field =`, as a member or in a designated
+                 initializer — in at least one C++ file under bench/,
+                 tools/ or perfbench/.  A field only tests set is a knob
+                 no experiment turns: it belongs in a named constant.
 
 Diagnostics are `path:line: error: message` (relative to --root) on
 stdout; exit status is non-zero iff anything was reported.
@@ -42,6 +48,14 @@ BOUNDARY_ENDINGS = (";", "{", "}")
 WALK_LIMIT = 12
 
 FAILPOINT_RE = re.compile(r'KPS_FAILPOINT(?:_FAIL)?\(\s*"([^"]+)"')
+# A data member declaration: `Type name;` or `Type name = init;`.
+FIELD_RE = re.compile(r"^[\w:<>]+\s*[*&]?\s+(\w+)\s*(?:=[^;]*)?;$")
+# The option structs, by header, and where their callers must live.
+OPTION_STRUCTS = (("StorageConfig", os.path.join("core", "storage_traits.hpp")),
+                  ("AdaptiveKConfig",
+                   os.path.join("core", "relaxation_policy.hpp")))
+CALLER_DIRS = ("bench", "tools", "perfbench")
+CXX_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc")
 STRING_RE = re.compile(r'"([^"]*)"')
 BACKTICK_RE = re.compile(r"`([^`]+)`")
 
@@ -118,6 +132,59 @@ def check_header_hygiene(diag, path, lines) -> None:
         if re.match(r"\s*#\s*include\s*<iostream>", code_part(raw)):
             diag.error(path, i + 1,
                        "<iostream> in a header (use <ostream>/<istream>)")
+
+
+# ---------------------------------------------------------- option caller
+def parse_struct_fields(lines, struct_name):
+    """Data members of `struct NAME { ... };` as [(name, line)], or None
+    if the struct is missing.  Only declarations at the struct's own
+    brace depth count, so member-function bodies are skipped."""
+    out, depth = [], None
+    for i, raw in enumerate(lines):
+        code = code_part(raw).strip()
+        if depth is None:
+            if re.match(rf"struct\s+{struct_name}\s*\{{", code):
+                depth = 1
+            continue
+        if depth == 1 and "(" not in code:
+            m = FIELD_RE.match(code)
+            if m and not code.startswith(("using", "friend")):
+                out.append((m.group(1), i + 1))
+        depth += code.count("{") - code.count("}")
+        if depth <= 0:
+            return out
+    return out if depth is not None else None
+
+
+def caller_sources(root):
+    """Comment-stripped code of every C++ file under CALLER_DIRS."""
+    text = []
+    for sub in CALLER_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, sub)):
+            for fn in sorted(filenames):
+                if fn.endswith(CXX_EXTENSIONS):
+                    with open(os.path.join(dirpath, fn),
+                              encoding="utf-8") as f:
+                        text.extend(code_part(line)
+                                    for line in f.read().splitlines())
+    return "\n".join(text)
+
+
+def check_option_callers(diag, root, include_root, by_name):
+    callers = caller_sources(root)
+    for struct_name, rel in OPTION_STRUCTS:
+        path, lines = by_name.get(rel, (None, None))
+        fields = parse_struct_fields(lines, struct_name) if lines else None
+        if fields is None:
+            diag.error(path or include_root, 1,
+                       f"struct {struct_name} not found in {rel}")
+            continue
+        for name, line in fields:
+            if not re.search(rf"\.\s*{name}\s*=(?!=)", callers):
+                diag.error(path, line,
+                           f"option `{struct_name}::{name}` is set by no "
+                           "file under bench/, tools/ or perfbench/ (a "
+                           "test-only knob belongs in a named constant)")
 
 
 # ------------------------------------------------------- catalog parsing
@@ -215,6 +282,8 @@ def run(root: str) -> int:
 
     by_name = {os.path.relpath(p, include_root): (p, ls)
                for p, ls in headers}
+
+    check_option_callers(diag, root, include_root, by_name)
 
     # trace-sync
     trace_path, trace_lines = by_name.get(

@@ -17,6 +17,7 @@ LINT = os.path.join(HERE, "kps_lint.py")
 FIXTURES = os.path.join(ROOT, "tests", "lint_fixtures")
 
 H = os.path.join("include", "kps", "support")
+C = os.path.join("include", "kps", "core")
 
 EXPECTED = sorted([
     "DESIGN.md:5: error: failpoint seam `documented.seam` is documented "
@@ -25,6 +26,9 @@ EXPECTED = sorted([
     "absent from the code",
     "DESIGN.md:15: error: counter `ghost_counter` is documented but "
     "absent from the code",
+    f"{C}/storage_traits.hpp:9: error: option "
+    "`StorageConfig::test_only_knob` is set by no file under bench/, "
+    "tools/ or perfbench/ (a test-only knob belongs in a named constant)",
     f"{H}/bad_header.hpp:1: error: header missing `#pragma once`",
     f"{H}/bad_header.hpp:2: error: <iostream> in a header "
     "(use <ostream>/<istream>)",
