@@ -338,33 +338,6 @@ inline void apply_fail_spec(const Args& args) {
   }
 }
 
-/// Shared bounded-capacity plumbing (PR 6): `--capacity N` bounds the
-/// storage at N resident tasks (0 = unbounded, the default) and
-/// `--overflow reject|shed-lowest` picks what happens at the bound.
-inline constexpr const char* kCapacityFlag = "capacity";
-inline constexpr const char* kOverflowFlag = "overflow";
-
-inline StorageConfig apply_capacity(const Args& args,
-                                    StorageConfig cfg = {}) {
-  cfg.capacity = static_cast<std::size_t>(
-      args.value(kCapacityFlag, static_cast<std::uint64_t>(cfg.capacity)));
-  const std::string policy = args.value_s(
-      kOverflowFlag,
-      cfg.overflow_policy == OverflowPolicy::shed_lowest ? "shed-lowest"
-                                                         : "reject");
-  if (policy == "reject") {
-    cfg.overflow_policy = OverflowPolicy::reject;
-  } else if (policy == "shed-lowest") {
-    cfg.overflow_policy = OverflowPolicy::shed_lowest;
-  } else {
-    std::fprintf(stderr,
-                 "error: --%s expects reject|shed-lowest, got '%s'\n",
-                 kOverflowFlag, policy.c_str());
-    std::exit(2);
-  }
-  return cfg;
-}
-
 /// Shared --storage plumbing: one flag name, validated against the
 /// storage registry, with the registered names enumerated in the
 /// fail-fast diagnostic.  `storage_from_args` selects exactly one
@@ -419,14 +392,15 @@ struct SsspAggregate {
   PlaceStats counters;  // summed over runs
 };
 
-/// Shared --trace-out / --metrics-out plumbing (PR 8 telemetry): when
-/// either flag is given, the FIRST measured run gets a full observability
-/// harness attached — a Tracer wired into the storage places, queue-delay
-/// and pop-latency histograms, and a Telemetry sampler — and its outputs
-/// land in the named files (Chrome trace-event JSON for Perfetto /
-/// about:tracing, and the counter time series).  Only one run is
-/// instrumented so a sweep bench exports one coherent capture instead of
-/// overwriting the files once per sweep point.
+/// --trace-out / --metrics-out plumbing (PR 8 telemetry; fig4_scaling is
+/// the one bench that takes the flags): when either flag is given, the
+/// FIRST measured run gets a full observability harness attached — a
+/// Tracer wired into the storage places, queue-delay and pop-latency
+/// histograms, and a Telemetry sampler — and its outputs land in the
+/// named files (Chrome trace-event JSON for Perfetto / about:tracing, and
+/// the counter time series).  Only one run is instrumented so the sweep
+/// exports one coherent capture instead of overwriting the files once
+/// per sweep point.
 inline constexpr const char* kTraceOutFlag = "trace-out";
 inline constexpr const char* kMetricsOutFlag = "metrics-out";
 
@@ -461,7 +435,6 @@ class TelemetrySession {
     // the control block), so the instrumented run turns lifecycle on.
     cfg.enable_lifecycle = true;
     obs_.pop_latency = pop_latency_.get();
-    obs_.tracer = tracer_.get();
     obs_.telemetry = telemetry_.get();
     telemetry_->start();
     return &obs_;

@@ -2,11 +2,13 @@
 // under injected faults and under overload.
 //
 // Panel A — fault-rate sweep (KPS_FAILPOINTS builds only).  Every
-// storage's seam set is armed to fail with probability p, sweeping p
-// upward, and a fixed SSSP instance is solved at each point.  Each row
-// reports throughput (pops/s), the number of faults that actually fired,
-// the telemetry stall-rule verdict, the task-conservation ledger, and
-// oracle exactness.  The acceptance claim is qualitative but strict:
+// storage's seam set is armed with probability p, sweeping p upward —
+// KPS_FAILPOINT_FAIL seams to fail, timing-only KPS_FAILPOINT seams to
+// yield, so every counted fire perturbs the run — and a fixed SSSP
+// instance is solved at each point.  Each row reports throughput
+// (pops/s), the number of faults that actually fired, the telemetry
+// stall-rule verdict, the task-conservation ledger, and oracle
+// exactness.  The acceptance claim is qualitative but strict:
 // throughput may sag as p grows, but every verdict column must stay
 // clean — an injected fault is a legal adversarial schedule, never an
 // excuse for a wrong answer.  On a default build the panel prints its
@@ -14,14 +16,18 @@
 //
 // Panel B — overload sweep (any build).  A capacity-bounded storage is
 // driven at 1x, 2x and 4x offered load (each worker pushes `mult` tasks
-// per pop), so past 1x the storage runs pinned at its bound and the
-// overflow policy absorbs the excess.  Rows report delivered throughput,
-// the shed/reject counters, the ledger verdict (spawned = executed +
-// shed after the final drain), and the stall verdict.  Acceptance:
-// graceful to 4x — no collapse, no stall reports, ledger balanced.
+// per pop), so past 1x the storage runs pinned at its bound and shedding
+// absorbs the excess.  Rows report delivered throughput, the shed
+// counter, the ledger verdict (spawned = executed + shed after the final
+// drain), and the stall verdict.  Acceptance: graceful to 4x — no
+// collapse, no stall reports, ledger balanced.
+//
+// Exit status 1 when any row's ledger or exactness verdict fails, so a
+// CI step that runs the sweep fails with it; stall counts are reported,
+// not gated.
 //
 //   ./fig9_degradation --P 2 --storage all
-//   ./fig9_degradation --capacity 256 --overflow reject
+//   ./fig9_degradation --capacity 256
 //   ./fig9_degradation --fail-spec 'central.pop.claim_cas=fail:p=0.3'
 #include <atomic>
 #include <cstdio>
@@ -36,47 +42,48 @@ namespace {
 using namespace kps;
 using namespace kps::bench;
 
-/// Per-storage seam sets for the fault sweep — the storage's own seams
-/// plus the runner's pop seam (every storage sits under the same
-/// runner).  Mirrors the catalog test_fault_injection churns through.
+/// Per-storage seam sets for the fault sweep, split by the seam's kind
+/// (DESIGN.md's seam catalog): a KPS_FAILPOINT_FAIL seam is armed to
+/// fail, so its caller takes the failure path; a timing-only
+/// KPS_FAILPOINT seam ignores `fail`, so it is armed to yield.  Every
+/// set also fails the runner's pop seam (every storage sits under the
+/// same runner).  Mirrors the catalog test_fault_injection churns
+/// through.
 struct SeamSet {
   const char* storage;
-  std::vector<const char*> seams;
+  std::vector<const char*> fail;
+  std::vector<const char*> timing;
 };
 
 const std::vector<SeamSet> kSeamSets = {
-    {"global_pq", {"global.push.lock", "global.pop.lock", "runner.pop"}},
+    {"global_pq", {}, {"global.push.lock", "global.pop.lock"}},
     {"centralized",
-     {"central.push.slot_cas", "central.push.overflow",
-      "central.pop.overflow", "central.pop.claim_cas",
-      "central.heal.clear_bit", "minindex.note_min", "epoch.advance",
-      "runner.pop"}},
-    {"hybrid",
-     {"hybrid.publish.attempt", "hybrid.publish.flush",
-      "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",
-      "hybrid.spill", "runner.pop"}},
-    {"multiqueue", {"mq.push.lock", "mq.pop.probe", "runner.pop"}},
-    {"ws_priority", {"wsprio.steal", "runner.pop"}},
-    {"ws_deque", {"wsdeque.steal", "runner.pop"}},
+     {"central.push.slot_cas", "central.pop.claim_cas", "minindex.note_min",
+      "epoch.advance"},
+     {"central.push.overflow", "central.pop.overflow",
+      "central.heal.clear_bit"}},
+    {"hybrid", {"hybrid.publish.attempt", "hybrid.inbox.append", "hybrid.spy"},
+     {"hybrid.publish.flush", "hybrid.inbox.fold", "hybrid.spill"}},
+    {"multiqueue", {"mq.push.lock", "mq.pop.probe"}, {}},
+    {"ws_priority", {"wsprio.steal"}, {}},
+    {"ws_deque", {"wsdeque.steal"}, {}},
 };
 
-const std::vector<const char*>& seams_for(const std::string& storage) {
-  for (const SeamSet& s : kSeamSets) {
-    if (storage == s.storage) return s.seams;
-  }
-  static const std::vector<const char*> just_runner = {"runner.pop"};
-  return just_runner;
-}
-
-std::string fail_spec_at(const std::vector<const char*>& seams, double p,
+std::string fail_spec_at(const std::string& storage, double p,
                          std::uint64_t seed) {
   std::string spec;
-  char buf[128];
-  for (const char* seam : seams) {
-    std::snprintf(buf, sizeof(buf), "%s%s=fail:p=%.3f:seed=%llu",
-                  spec.empty() ? "" : ",", seam, p,
+  const auto arm = [&](const char* seam, const char* action) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%s%s=%s:p=%.3f:seed=%llu",
+                  spec.empty() ? "" : ",", seam, action, p,
                   static_cast<unsigned long long>(seed));
     spec += buf;
+  };
+  arm("runner.pop", "fail");
+  for (const SeamSet& s : kSeamSets) {
+    if (storage != s.storage) continue;
+    for (const char* seam : s.fail) arm(seam, "fail");
+    for (const char* seam : s.timing) arm(seam, "yield");
   }
   return spec;
 }
@@ -98,7 +105,7 @@ constexpr std::uint64_t kStallThreshold = 8;
 int main(int argc, char** argv) {
   Args args(argc, argv,
             {kStorageFlag, "P", "k", "tasks", "seed", kFailSpecFlag,
-             kCapacityFlag, kOverflowFlag});
+             "capacity"});
   Workload w = workload_from_args(args);
   if (!args.flag("paper")) {
     w.n = args.value("n", 600);
@@ -112,6 +119,8 @@ int main(int argc, char** argv) {
   // An operator-supplied spec applies to every run in both panels (a
   // non-empty spec on a default build fails fast inside).
   apply_fail_spec(args);
+  // Any ledger or exactness verdict that fails makes the exit status 1.
+  bool verdicts_clean = true;
 
   print_header("fig9_degradation — throughput + invariant verdicts under "
                "fault injection and overload",
@@ -126,7 +135,7 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------- Panel A: fault-rate sweep
   std::printf("\n## panel A: injected fault rate (SSSP, all seams armed "
-              "to fail at p)\n");
+              "at p: fail seams fail, timing seams yield)\n");
   if (!fp::enabled()) {
     std::printf("# skipped: failpoints compiled out on this build — "
                 "rebuild with -DKPS_FAILPOINTS=ON to arm the seams "
@@ -140,7 +149,7 @@ int main(int argc, char** argv) {
       for (const double p : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4}) {
         if (p > 0) {
           const std::string err =
-              fp::apply_spec(fail_spec_at(seams_for(name), p, seed));
+              fp::apply_spec(fail_spec_at(name, p, seed));
           if (!err.empty()) {
             std::fprintf(stderr, "error: %s\n", err.c_str());
             return 2;
@@ -153,10 +162,13 @@ int main(int argc, char** argv) {
         StatsRegistry stats(P);
         auto storage = make_storage<SsspTask>(name, P, cfg, &stats);
         Telemetry sampler(&stats, kStallPeriod, kStallThreshold);
+        // Disarmed sites keep the counts of earlier rows: count this
+        // run's fires only.
+        const std::uint64_t fired_before = total_fired();
         sampler.start();
         const SsspResult run = parallel_sssp(graph, 0, storage, k, &stats);
         sampler.stop();
-        const std::uint64_t fired = total_fired();
+        const std::uint64_t fired = total_fired() - fired_before;
         fp::disarm_all();
         const PlaceStats agg = stats.total();
         const std::uint64_t pops =
@@ -169,6 +181,8 @@ int main(int argc, char** argv) {
             agg.get(Counter::tasks_executed) +
                 agg.get(Counter::tasks_shed) +
                 agg.get(Counter::tasks_cancelled);
+        const bool exact = run.dist == truth;
+        verdicts_clean = verdicts_clean && ledger && exact;
         std::printf(
             "%-12s %8.2f %9.4f %10llu %12.0f %8llu %7llu %7s %6s\n",
             name.c_str(), p, run.seconds,
@@ -178,7 +192,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(fired),
             static_cast<unsigned long long>(sampler.stalls().stall_reports),
             ledger ? "ok" : "BROKEN",
-            run.dist == truth ? "yes" : "NO");
+            exact ? "yes" : "NO");
       }
     }
     std::printf("# expect: exact=yes and ledger=ok at every p — injected "
@@ -187,22 +201,19 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------- Panel B: overload sweep
+  // `--capacity N` bounds the storage at N resident tasks; a push at the
+  // bound sheds the lowest-priority task its storage can rank.
   StorageConfig bounded;
-  bounded.capacity = 1024;
-  bounded.overflow_policy = OverflowPolicy::shed_lowest;
-  bounded = apply_capacity(args, bounded);
-  const char* policy_name =
-      bounded.overflow_policy == OverflowPolicy::shed_lowest
-          ? "shed-lowest"
-          : "reject";
+  bounded.capacity = args.value("capacity", 1024);
 
-  std::printf("\n## panel B: offered load vs capacity=%llu (%s), "
+  std::printf("\n## panel B: offered load vs capacity=%llu (shed-lowest), "
               "%llu pops/place\n",
               static_cast<unsigned long long>(bounded.capacity),
-              policy_name, static_cast<unsigned long long>(tasks));
-  std::printf("%-12s %5s %9s %10s %10s %10s %10s %12s %7s %7s\n",
-              "storage", "load", "time_s", "offered", "accepted", "shed",
-              "rejected", "pops_per_s", "stalls", "ledger");
+              static_cast<unsigned long long>(tasks));
+  // Every offered push counts as spawned (admitted, or shed at the door),
+  // so the shed column is the whole overload story.
+  std::printf("%-12s %5s %9s %10s %10s %12s %7s %7s\n", "storage", "load",
+              "time_s", "offered", "shed", "pops_per_s", "stalls", "ledger");
   for (const std::string& name : storages) {
     for (const int mult : {1, 2, 4}) {
       StorageConfig cfg = bounded;
@@ -256,16 +267,12 @@ int main(int argc, char** argv) {
           agg.get(Counter::tasks_spawned) ==
           agg.get(Counter::tasks_executed) + agg.get(Counter::tasks_shed) +
               agg.get(Counter::tasks_cancelled);
+      verdicts_clean = verdicts_clean && ledger;
       std::printf(
-          "%-12s %4dx %9.4f %10llu %10llu %10llu %10llu %12.0f %7llu "
-          "%7s\n",
+          "%-12s %4dx %9.4f %10llu %10llu %12.0f %7llu %7s\n",
           name.c_str(), mult, seconds,
           static_cast<unsigned long long>(offered),
-          static_cast<unsigned long long>(
-              agg.get(Counter::tasks_spawned)),
           static_cast<unsigned long long>(agg.get(Counter::tasks_shed)),
-          static_cast<unsigned long long>(
-              agg.get(Counter::push_rejected)),
           seconds > 0
               ? static_cast<double>(popped.load(std::memory_order_relaxed)) /
                     seconds
@@ -274,9 +281,14 @@ int main(int argc, char** argv) {
           ledger ? "ok" : "BROKEN");
     }
   }
-  std::printf("# expect: graceful to 4x — shed/rejected absorb the "
-              "excess and pops_per_s degrades smoothly (shedding has a "
-              "per-task cost, collapse or livelock would show as "
-              "stalls>0); ledger=ok at every point\n");
+  std::printf("# expect: graceful to 4x — shedding absorbs the excess "
+              "and pops_per_s degrades smoothly (shedding has a per-task "
+              "cost, collapse or livelock would show as stalls>0); "
+              "ledger=ok at every point\n");
+  if (!verdicts_clean) {
+    std::fprintf(stderr, "fig9_degradation: a ledger or exactness verdict "
+                         "failed\n");
+    return 1;
+  }
   return 0;
 }

@@ -131,12 +131,9 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
     PushOutcome<TaskT> out;
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
-      // shed_lowest: trade against the overflow tier under its lock, so
-      // the eviction and the replacement insert are one atomic step and
-      // the resident count is untouched.
+      // Trade against the overflow tier under its lock, so the eviction
+      // and the replacement insert are one atomic step and the resident
+      // count is untouched.
       overflow_lock_.lock();
       if (this->displace_worst(overflow_, task, p, &out)) {
         publish_overflow_min();

@@ -37,17 +37,14 @@ class GlobalLockedPq : public StorageBase<GlobalLockedPq<TaskT>, TaskT> {
   std::size_t places() const { return places_.size(); }
   Place& place(std::size_t i) { return places_[i]; }
 
-  /// Capacity-aware push.  The single heap IS the shed tier, so the
-  /// shed-lowest decision here is exact: the globally worst resident (or
-  /// the incoming task, if it is worse) is the one dropped.
+  /// Capacity-aware push.  The single heap IS the shed tier, so the shed
+  /// decision here is exact: the globally worst resident (or the
+  /// incoming task, if it is worse) is the one dropped.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     KPS_FAILPOINT("global.push.lock");
     PushOutcome<TaskT> out;
     MutexGuard lk(mutex_);
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
       if (this->displace_worst(heap_, task, p, &out)) return out;
       return this->shed_incoming(p, std::move(task));
     }

@@ -190,9 +190,6 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   PushOutcome<TaskT> try_push(Place& p, int k, TaskT task) {
     PushOutcome<TaskT> out;
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
       p.private_lock.lock();
       if (this->displace_worst(p.private_heap, task, p, &out)) {
         p.publish_private_min();

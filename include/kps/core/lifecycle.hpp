@@ -82,18 +82,13 @@ struct TaskHandle {
 ///
 ///   {accepted=true,  shed=nullopt} — the task entered the storage.
 ///   {accepted=true,  shed=t}       — the task entered; resident task `t`
-///                                    was evicted to make room
-///                                    (shed_lowest only).
-///   {accepted=false, shed=...}     — the incoming task did NOT enter:
-///                                    under reject `shed` is empty (the
-///                                    caller still owns the task it
-///                                    passed); under shed_lowest `shed`
-///                                    returns the incoming task itself,
-///                                    marking it dropped by policy.
+///                                    was evicted to make room.
+///   {accepted=false, shed=task}    — the incoming task did NOT enter:
+///                                    `shed` returns it whole.
 ///
 /// Conservation accounting: a task left the system (or never entered it)
-/// iff `!accepted || shed` — the runner uses exactly that predicate to
-/// keep its pending counter truthful under overload.
+/// iff `shed` holds one — the runner uses exactly that predicate to keep
+/// its pending counter truthful under overload.
 ///
 /// `handle` is the task's lifecycle ticket: valid iff the task entered a
 /// lifecycle-enabled storage (always invalid when accepted is false or
@@ -109,9 +104,8 @@ struct PushOutcome {
 /// tombstone race and owns the task's move; `requeue` then reports the
 /// re-push exactly like any try_push (the task re-entered — its new
 /// ticket is requeue.handle — possibly displacing a resident; or was
-/// itself rejected/shed at capacity, in which case it LEFT the system
-/// and the caller's pending accounting must treat it like a shed
-/// spawn).  `!detached` means the task was already consumed, cancelled,
+/// itself shed at capacity, in which case it LEFT the system and the
+/// caller's pending accounting must treat it like a shed spawn).  `!detached` means the task was already consumed, cancelled,
 /// or moved by somebody else; nothing changed.
 template <typename TaskT>
 struct ReprioritizeOutcome {

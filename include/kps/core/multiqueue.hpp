@@ -52,9 +52,6 @@ class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
       Queue& q = queues_[p.rng.next_bounded(queues_.size())];
       q.lock.lock();
       if (this->displace_worst(q.heap, task, p, &out)) {
@@ -102,16 +99,21 @@ class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
       const double tb = queues_[b].top_cache.load(std::memory_order_acquire);
       if (ta == kEmptyTop && tb == kEmptyTop) continue;
       saw_tasks = true;
-      Queue& q = queues_[ta <= tb ? a : b];
-      if (auto out = try_pop_queue(q, p)) {
+      bool reaped_any = false;
+      if (auto out = try_pop_queue(queues_[ta <= tb ? a : b], p,
+                                   ta <= tb ? tb : ta, &reaped_any)) {
         return this->deliver(p, std::move(*out));
       }
+      // Tombstone reaped: that is progress, not a failed claim — compare
+      // a fresh pair with a fresh attempt budget.
+      if (reaped_any) attempt = -1;
     }
     for (Queue& q : queues_) {
       if (q.top_cache.load(std::memory_order_acquire) != kEmptyTop) {
         saw_tasks = true;
       }
-      if (auto out = try_pop_queue(q, p)) {
+      bool reaped_any = false;
+      if (auto out = try_pop_queue(q, p, kEmptyTop, &reaped_any)) {
         return this->deliver(p, std::move(*out));
       }
     }
@@ -143,12 +145,28 @@ class MultiQueuePool : public StorageBase<MultiQueuePool<TaskT>, TaskT> {
     }
   };
 
-  std::optional<TaskT> try_pop_queue(Queue& q, Place& p) {
+  /// Claim q's best live task.  A reaped tombstone re-exposes q's next
+  /// task, which is claimed only while it still beats `rival` (the other
+  /// probe's cached top); otherwise q's new top is published and nullopt
+  /// returned with *reaped_any set, so the caller compares the pair again.
+  std::optional<TaskT> try_pop_queue(Queue& q, Place& p, double rival,
+                                     bool* reaped_any) {
     if (q.top_cache.load(std::memory_order_acquire) == kEmptyTop) {
       return std::nullopt;
     }
     if (!q.lock.try_lock()) return std::nullopt;
-    std::optional<TaskT> out = this->pop_live(q.heap, p);
+    std::optional<TaskT> out;
+    while (!q.heap.empty() &&
+           !(*reaped_any &&
+             rival < static_cast<double>(q.heap.top().task.priority))) {
+      Entry e = q.heap.pop();
+      if (this->ledger_.claim_popped(e, p.index)) {
+        out = std::move(e.task);
+        break;
+      }
+      this->reaped(p);
+      *reaped_any = true;
+    }
     q.publish_top();
     q.lock.unlock();
     return out;

@@ -41,18 +41,6 @@
 
 namespace kps {
 
-/// What try_push does when a bounded storage is at capacity:
-///   reject      — refuse the incoming task (caller keeps it; counter
-///                 push_rejected).  push() drops it on the floor, so
-///                 runner-driven workloads should use shed_lowest.
-///   shed_lowest — admit the incoming task if it beats the cheaply
-///                 reachable worst resident (which is evicted and
-///                 returned to the caller), else shed the incoming task;
-///                 counter tasks_shed.  "Cheaply reachable worst" is
-///                 tier-local per storage (DESIGN.md "Robustness" has the
-///                 exact shed tier of each storage).
-enum class OverflowPolicy : std::uint8_t { reject, shed_lowest };
-
 struct StorageConfig {
   // NOTE: designated initializers require this declaration order
   // (benches write {.k_max = …, .default_k = …, .seed = …}).
@@ -64,7 +52,7 @@ struct StorageConfig {
   bool structural_relaxation = false; // hybrid: publish on k LIVE tasks
                                       // instead of every k-th push
   bool randomize_placement = true;    // centralized: random vs linear slot
-  bool steal_half = true;             // work-stealing: half vs single task
+  bool steal_half = true;             // ws_priority: half vs single task
 
   // Hybrid batched publish (ablation A10): a publish flushes the private
   // heap as pre-sorted runs of at most this many tasks, each mailed to a
@@ -78,9 +66,10 @@ struct StorageConfig {
   // a single relaxed atomic, so P concurrent pushers racing the same last
   // slot can transiently overshoot by at most P-1 tasks — the bound is a
   // backpressure signal, not a hard allocation limit (DESIGN.md
-  // "Robustness").  Behaviour at the bound is overflow_policy's call.
+  // "Robustness").  At the bound a push sheds the lowest-priority task
+  // its storage can cheaply rank: the incoming task, or the worst
+  // resident of the storage's shed tier, which it displaces.
   std::size_t capacity = 0;
-  OverflowPolicy overflow_policy = OverflowPolicy::reject;
 
   // Task lifecycle (PR 7): when on, every admitted task gets a pooled
   // control block and try_push returns a valid TaskHandle redeemable for
@@ -162,16 +151,12 @@ namespace detail {
 /// the next pops; see DESIGN.md "Robustness".
 class CapacityGate {
  public:
-  void init(const StorageConfig& cfg) {
-    capacity_ = cfg.capacity;
-    policy_ = cfg.overflow_policy;
-  }
+  void init(const StorageConfig& cfg) { capacity_ = cfg.capacity; }
 
   bool bounded() const { return capacity_ != 0; }
-  OverflowPolicy policy() const { return policy_; }
 
   /// Pre-insert check: true = the storage is (approximately) full and the
-  /// overflow policy decides the task's fate.
+  /// push sheds a task.
   bool at_capacity() const {
     // order: relaxed — capacity is approximate by contract (racing
     // pushers may momentarily overshoot); no payload rides on this read.
@@ -189,7 +174,6 @@ class CapacityGate {
 
  private:
   std::size_t capacity_ = 0;
-  OverflowPolicy policy_ = OverflowPolicy::reject;
   std::atomic<std::int64_t> size_{0};
 };
 
@@ -244,7 +228,7 @@ class StorageBase {
 
   /// Decrease-key (or any re-key) as tombstone + re-push.  The detach
   /// counts as a cancel and the re-push as a spawn, keeping the ledger
-  /// equation exact; the re-push obeys capacity policy like any push
+  /// equation exact; the re-push sheds at capacity like any push
   /// (see ReprioritizeOutcome for the caller's accounting contract).  A
   /// storage without the capability detaches nothing.
   template <typename PlaceT, typename PrioT>
@@ -339,19 +323,8 @@ class StorageBase {
 
   // The at-capacity epilogues, one copy for all six storages.
 
-  /// Reject policy: refuse the incoming task.
-  template <typename PlaceT>
-  PushOutcome<TaskT> reject_incoming(PlaceT& p) {
-    p.counters->inc(Counter::push_rejected);
-    detail::trace_ev(p, TraceEv::shed, kShedRejected);
-    PushOutcome<TaskT> out;
-    out.accepted = false;
-    return out;
-  }
-
-  /// Shed-lowest when the incoming task loses (or the shed tier cannot
-  /// rank it): the incoming task is counted as spawned-then-shed so the
-  /// ledger still balances.
+  /// The incoming task loses (or the shed tier cannot rank it): it is
+  /// counted as spawned-then-shed so the ledger still balances.
   template <typename PlaceT>
   PushOutcome<TaskT> shed_incoming(PlaceT& p, TaskT task) {
     p.counters->inc(Counter::tasks_spawned);
@@ -363,12 +336,11 @@ class StorageBase {
     return out;
   }
 
-  /// Shed-lowest displacement against a locked heap of LcEntry: if the
-  /// incoming task beats the tier's worst resident, evict that resident
-  /// and admit the incoming task in its place.  Returns false when the
-  /// tier is empty or the incoming task does not beat the worst (caller
-  /// falls back to shed_incoming).  Must be called with the heap's lock
-  /// held.
+  /// Displacement against a locked heap of LcEntry: if the incoming task
+  /// beats the tier's worst resident, evict that resident and admit the
+  /// incoming task in its place.  Returns false when the tier is empty
+  /// or the incoming task does not beat the worst (caller falls back to
+  /// shed_incoming).  Must be called with the heap's lock held.
   ///
   /// Lifecycle interaction: the evicted resident is claimed exactly like
   /// a pop.  A live resident comes back through out->shed (counted

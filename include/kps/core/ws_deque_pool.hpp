@@ -54,15 +54,12 @@ class WsDequePool
   Place& place(std::size_t i) { return places_[i]; }
 
   /// Capacity-aware push.  The deque is priority-oblivious, so there is
-  /// no "worst resident" to trade against: shed_lowest degenerates to
-  /// shedding the incoming task.  That is the honest semantics for this
+  /// no "worst resident" to trade against: a push at capacity always
+  /// sheds the incoming task.  That is the honest semantics for this
   /// A5 control — it cannot rank what it does not order.
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
       return this->shed_incoming(p, std::move(task));
     }
     p.lock.lock();
@@ -127,27 +124,22 @@ class WsDequePool
       victim.lock.unlock();
       return out;
     }
-    std::size_t stolen = 1;
-    if (this->cfg_.steal_half) {
-      // Move (half - 1) more entries from the victim's steal end; their
-      // control blocks migrate with them, so handles stay redeemable.
-      std::size_t extra = victim.deque.size() / 2;
-      p.loot.clear();
-      while (extra-- > 0) {
-        p.loot.push_back(std::move(victim.deque.front()));
-        victim.deque.pop_front();
-      }
-      stolen += p.loot.size();
-      victim.lock.unlock();
-      if (!p.loot.empty()) {
-        p.lock.lock();
-        for (Entry& e : p.loot) p.deque.push_back(std::move(e));
-        p.lock.unlock();
-      }
-    } else {
-      victim.lock.unlock();
+    // Steal half: move (half - 1) more entries from the victim's steal
+    // end; their control blocks migrate with them, so handles stay
+    // redeemable.
+    std::size_t extra = victim.deque.size() / 2;
+    p.loot.clear();
+    while (extra-- > 0) {
+      p.loot.push_back(std::move(victim.deque.front()));
+      victim.deque.pop_front();
     }
-    p.counters->inc(Counter::stolen_items, stolen);
+    victim.lock.unlock();
+    if (!p.loot.empty()) {
+      p.lock.lock();
+      for (Entry& e : p.loot) p.deque.push_back(std::move(e));
+      p.lock.unlock();
+    }
+    p.counters->inc(Counter::stolen_items, 1 + p.loot.size());
     // Thief records on its OWN ring (SPSC); victim id rides in arg.
     detail::trace_ev(p, TraceEv::steal,
                      static_cast<std::uint32_t>(victim.index));

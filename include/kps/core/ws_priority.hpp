@@ -59,9 +59,6 @@ class WsPriorityPool : public StorageBase<WsPriorityPool<TaskT>, TaskT> {
   PushOutcome<TaskT> try_push(Place& p, int /*k*/, TaskT task) {
     PushOutcome<TaskT> out;
     if (this->gate_.at_capacity()) {
-      if (this->gate_.policy() == OverflowPolicy::reject) {
-        return this->reject_incoming(p);
-      }
       p.lock.lock();
       if (this->displace_worst(p.heap, task, p, &out)) {
         p.lock.unlock();

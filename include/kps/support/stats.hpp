@@ -41,8 +41,7 @@ enum class Counter : std::size_t {
                        // segment store (from its inbox or a fallback)
   segment_spills,      // hybrid: cold-segment spills into the owner's cold
                        // heap
-  push_rejected,       // bounded capacity: try_push refused (reject policy)
-  tasks_shed,          // bounded capacity: tasks dropped by shed-lowest
+  tasks_shed,          // bounded capacity: tasks dropped at the bound
   tasks_cancelled,     // lifecycle: live residencies tombstoned (cancel +
                        // the detach half of every reprioritize)
   tombstones_reaped,   // lifecycle: tombstoned entries freed by pop/shed scans
@@ -68,9 +67,9 @@ inline constexpr const char* kCounterNames[kNumCounters] = {
     "stolen_items",      "push_cas_failures", "pop_cas_failures",
     "slot_loads",        "summary_loads",    "tree_descents",
     "min_heals",         "overflow_stale",   "segment_merges",
-    "segment_spills",    "push_rejected",    "tasks_shed",
-    "tasks_cancelled",   "tombstones_reaped", "timers_fired",
-    "inbox_appends",     "inbox_folds",      "inbox_full_fallbacks",
+    "segment_spills",    "tasks_shed",       "tasks_cancelled",
+    "tombstones_reaped", "timers_fired",     "inbox_appends",
+    "inbox_folds",       "inbox_full_fallbacks",
 };
 static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
                   kNumCounters,

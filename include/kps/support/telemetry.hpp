@@ -23,10 +23,10 @@
 // never flagged: the run is over, so flat counters are expected.
 //
 // Queue depth is DERIVED, not measured: resident ≈ spawned − executed −
-// shed − cancelled (reject refusals never count as spawned).  The terms
-// are relaxed reads racing the workers, so a sample can be off by the
-// in-flight operations of the moment — it is a time series, not a ledger;
-// the exact ledger lives in the quiescent end-of-run totals.
+// shed − cancelled.  The terms are relaxed reads racing the workers, so a
+// sample can be off by the in-flight operations of the moment — it is a
+// time series, not a ledger; the exact ledger lives in the quiescent
+// end-of-run totals.
 //
 // Exporters:
 //   write_chrome_trace  — Chrome trace-event JSON ("ph":"i" instants,

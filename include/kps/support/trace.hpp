@@ -46,7 +46,6 @@ enum class TraceEv : std::uint16_t {
   spy,         // hybrid: claim from a foreign private queue (arg = victim)
   shed,        // capacity: task left unexecuted (arg = kShed* code)
   cancel,      // lifecycle: residency tombstoned (arg = k*Cancel code)
-  timer_fire,  // timer wheel: deadline actions delivered (arg = count)
   stall,       // telemetry stall rule: place stalled (arg = streak)
   inbox_append,  // hybrid mailbox: run committed to an inbox (arg = target)
   inbox_fold,    // hybrid mailbox: owner fold pass (arg = runs folded)
@@ -65,9 +64,8 @@ inline constexpr const char* kTraceEvNames[kNumTraceEvs] = {
     "hybrid.publish.flush",  // batched private->published flush
     "steal",                 // wsprio.steal / wsdeque.steal
     "hybrid.spy",            // foreign-private claim
-    "shed",                  // capacity epilogues (reject / shed-lowest)
+    "shed",                  // capacity epilogues (incoming / displaced)
     "lifecycle.cancel",      // tombstone (cancel or reprioritize-detach)
-    "timer.fire",            // runner wheel advance delivered actions
     "watchdog.stall",        // sampling thread flagged a stalled place
     "hybrid.inbox.append",   // mailbox run committed (emitter = publisher)
     "hybrid.inbox.fold",     // mailbox fold pass (emitter = owner)
@@ -80,9 +78,8 @@ inline const char* trace_ev_name(TraceEv e) {
 }
 
 // arg codes for TraceEv::shed / TraceEv::cancel.
-inline constexpr std::uint64_t kShedRejected = 0;   // reject policy refusal
-inline constexpr std::uint64_t kShedIncoming = 1;   // shed-lowest dropped it
-inline constexpr std::uint64_t kShedDisplaced = 2;  // resident evicted
+inline constexpr std::uint64_t kShedIncoming = 0;   // incoming task dropped
+inline constexpr std::uint64_t kShedDisplaced = 1;  // resident evicted
 inline constexpr std::uint64_t kPlainCancel = 0;    // cancel()
 inline constexpr std::uint64_t kRekeyCancel = 1;    // reprioritize detach
 

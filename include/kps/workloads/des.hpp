@@ -119,9 +119,9 @@ struct DesRun {
                                  // high-water timestamp (approximate
                                  // under commit races) — the A11
                                  // schedule-quality probe
-  std::uint64_t floor_checks = 0;  // windowed pops that computed a floor
-  std::uint64_t floor_loads = 0;   // chain_time/index loads those cost —
-                                   // the A16 per-pop floor-cost metric
+  std::uint64_t floor_loads = 0;  // chain_time/index loads of the floor
+                                  // reads and heals — the A16 per-pop
+                                  // floor-cost metric
   RunnerResult runner;
 };
 
@@ -244,8 +244,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   // order: relaxed — single-threaded init before workers start.
   for (auto& c : counts) c.store(0, std::memory_order_relaxed);
   std::atomic<std::uint64_t> checksum{0};
-  std::atomic<std::uint64_t> events{0};
-  std::atomic<std::uint64_t> deferred{0};
   std::atomic<std::uint64_t> inversions{0};
   std::atomic<double> committed_high{-kInf};
 
@@ -262,7 +260,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   const bool use_floor = p.window >= 0 && p.chains > 0;
   std::optional<MinIndex> floor_index;
   if (use_floor) floor_index.emplace((p.chains + 63) / 64);
-  std::atomic<std::uint64_t> floor_checks{0};
   std::atomic<std::uint64_t> floor_loads{0};
   for (std::uint32_t c = 0; c < p.chains; ++c) {
     const double t0 = des_initial_time(p, c);
@@ -311,11 +308,9 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     if (use_floor && ev.defers < p.max_defer) {
       const double floor = floor_index->root();
       floor_loads.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
-      floor_checks.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
       if (t > floor + p.window) {
         // Causality-window violation: lazy re-enqueue, same timestamp,
-        // one more defer spent.
-        deferred.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+        // one more defer spent.  The runner tallies it as a wasted pop.
         spawn_event(handle, {t, {ev.chain, ev.step, ev.defers + 1}});
         return false;
       }
@@ -341,7 +336,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     counts[tr.station].fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
     checksum.fetch_add(detail::des_fingerprint(ev.chain, ev.step, t),
                        std::memory_order_relaxed);  // order: relaxed — commutative sum
-    events.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
     // Spawn BEFORE raising chain_time (ordering invariant, header
     // comment): a raised entry must never describe an event nobody can
     // pop yet.  store_max, not store — the successor's worker may have
@@ -365,12 +359,12 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   run.runner = run_relaxed(storage, k_policy, seeds, expand, stats,
                            std::forward<PopHook>(hook),
                            expiry ? &wheel : nullptr);
+  // Every pop commits its event (expanded) or defers it (wasted).
+  run.outcome.events = run.runner.expanded;
+  run.deferred = run.runner.wasted;
   // order: relaxed (result reads) — at quiescence, workers joined.
-  run.deferred = deferred.load(std::memory_order_relaxed);
-  run.inversions = inversions.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.floor_checks = floor_checks.load(std::memory_order_relaxed);  // order: relaxed — see above
+  run.inversions = inversions.load(std::memory_order_relaxed);
   run.floor_loads = floor_loads.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.events = events.load(std::memory_order_relaxed);  // order: relaxed — see above
   run.outcome.checksum = checksum.load(std::memory_order_relaxed);  // order: relaxed — see above
   run.outcome.station_counts.resize(counts.size());
   for (std::size_t s = 0; s < counts.size(); ++s) {

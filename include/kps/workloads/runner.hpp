@@ -76,8 +76,6 @@ struct RunnerResult {
   std::uint64_t k_raised = 0;      // policy widenings, summed over places
   std::uint64_t k_lowered = 0;     // policy narrowings, summed over places
   PlaceStats totals;               // summed per-place storage counters
-  std::vector<std::uint64_t> expanded_by_place;
-  std::vector<std::uint64_t> wasted_by_place;
   std::vector<PolicyReport> policy_by_place;  // final window + move counts
 };
 
@@ -86,13 +84,10 @@ struct RunnerResult {
 ///
 ///   pop_latency — per-place histogram of successful pop() wall latency
 ///                 (two steady_clock reads per successful pop when set).
-///   tracer      — the Tracer the storage places emit into; the runner
-///                 adds timer_fire events (arg = actions delivered).
 ///   telemetry   — sampling exporter; the runner publishes each place's
 ///                 current AdaptiveK window into its snapshot signals.
 struct RunnerObs {
   Histogram* pop_latency = nullptr;
-  Tracer* tracer = nullptr;
   Telemetry* telemetry = nullptr;
 };
 
@@ -124,23 +119,23 @@ class RunnerHandle {
   void spawn(task_type task) { (void)spawn_tracked(std::move(task)); }
 
   /// Publish a child task and return its lifecycle handle (invalid when
-  /// the child itself was rejected/shed, or lifecycle is off; a valid
-  /// handle means the child resides in the storage).  The pending
-  /// increment precedes the push: a sibling popping the child
-  /// immediately still sees pending > 0.
+  /// the child itself was shed, or lifecycle is off; a valid handle
+  /// means the child resides in the storage).  The pending increment
+  /// precedes the push: a sibling popping the child immediately still
+  /// sees pending > 0.
   ///
-  /// Backpressure contract: a bounded-capacity storage may reject the
-  /// child or shed a task (the child itself, or a worse resident it
-  /// displaced).  Either way exactly one task left the system without
-  /// being executed, so the optimistic increment is paid back here —
-  /// acq_rel, like the worker's post-expand decrement, because this
-  /// decrement too may be the one that releases a terminating peer.
+  /// Backpressure contract: a bounded-capacity storage may shed a task
+  /// (the child itself, or a worse resident it displaced).  Either way
+  /// exactly one task left the system without being executed, so the
+  /// optimistic increment is paid back here — acq_rel, like the
+  /// worker's post-expand decrement, because this decrement too may be
+  /// the one that releases a terminating peer.
   TaskHandle spawn_tracked(task_type task) {
     // order: relaxed — optimistic increment; only the DECREMENT side can
     // release a terminating peer, so only it needs acq_rel.
     pending_->fetch_add(1, std::memory_order_relaxed);
     const auto out = storage_->try_push(*place_, *k_, std::move(task));
-    if (!out.accepted || out.shed.has_value()) {
+    if (out.shed.has_value()) {
       pending_->fetch_sub(1, std::memory_order_acq_rel);
     }
     return out.handle;
@@ -157,14 +152,13 @@ class RunnerHandle {
   }
 
   /// Decrease-key: detach + re-push at `priority`.  Pending moves only if
-  /// the residency count actually changed — detached but the requeue was
-  /// rejected or shed a task (either the re-pushed task itself or a
-  /// displaced resident; one task left the system either way).
+  /// the residency count actually changed — detached but the requeue
+  /// shed a task (either the re-pushed task itself or a displaced
+  /// resident; one task left the system either way).
   ReprioritizeOutcome<task_type> reprioritize(TaskHandle h,
                                               priority_type priority) {
     auto out = storage_->reprioritize(*place_, h, priority);
-    if (out.detached &&
-        (!out.requeue.accepted || out.requeue.shed.has_value())) {
+    if (out.detached && out.requeue.shed.has_value()) {
       pending_->fetch_sub(1, std::memory_order_acq_rel);
     }
     return out;
@@ -218,8 +212,6 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   const std::size_t P = storage.places();
 
   RunnerResult result;
-  result.expanded_by_place.assign(P, 0);
-  result.wasted_by_place.assign(P, 0);
   result.policy_by_place.assign(P, PolicyReport{});
 
   // Per-place tallies and controller state live on their own cache lines
@@ -253,7 +245,7 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     // Seeds obey the same backpressure accounting as spawns.
     const auto out = storage.try_push(storage.place(i % P),
                                       locals[i % P].current_k, seeds[i]);
-    if (!out.accepted || out.shed.has_value()) {
+    if (out.shed.has_value()) {
       // order: relaxed — still single-threaded (workers not yet started).
       pending.fetch_sub(1, std::memory_order_relaxed);
     }
@@ -324,14 +316,8 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
         const std::uint64_t now =
             ticks.fetch_add(1, std::memory_order_relaxed) + 1;
         const std::size_t fired = wheel->advance(now, fire);
-        if (fired) {
-          if (stats) {
-            stats->place(place_idx).inc(Counter::timers_fired, fired);
-          }
-          if (obs && obs->tracer) {
-            obs->tracer->emit(place_idx, TraceEv::timer_fire,
-                              static_cast<std::uint32_t>(fired));
-          }
+        if (fired && stats) {
+          stats->place(place_idx).inc(Counter::timers_fired, fired);
         }
       }
 
@@ -366,8 +352,6 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
 
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
   for (std::size_t p = 0; p < P; ++p) {
-    result.expanded_by_place[p] = locals[p].expanded;
-    result.wasted_by_place[p] = locals[p].wasted;
     result.expanded += locals[p].expanded;
     result.wasted += locals[p].wasted;
     result.policy_by_place[p] = policy.report(locals[p].pstate);

@@ -18,17 +18,19 @@
 //   * Epoch stall: a place parked *while pinned* (stall seam inside
 //     pin()) blocks epoch advance — no deleter may run — and reclamation
 //     resumes once the stall is released.
-//   * Bounded capacity: global_pq's shed-lowest is exact (the survivors
-//     are precisely the best C tasks, every shed task is worse than every
-//     survivor), reject counts rejections, and SSSP under a tight
-//     capacity terminates with distances that are never better than the
-//     true ones (lost work can only leave estimates stale-high).
+//   * Bounded capacity: at P = 1 every storage sheds exactly against its
+//     documented tier (global_pq's survivors are precisely the best C
+//     tasks), and SSSP under a tight capacity terminates with distances
+//     that are never better than the true ones (lost work can only leave
+//     estimates stale-high).
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -219,10 +221,8 @@ void test_seeded_schedules() {
       StorageConfig extra;
       if (s % 4 == 1) {
         extra.capacity = 32;
-        extra.overflow_policy = OverflowPolicy::shed_lowest;
       } else if (s % 4 == 3) {
-        extra.capacity = 32;
-        extra.overflow_policy = OverflowPolicy::reject;
+        extra.capacity = 8;
       }
       arm_random_seams(cat, rng, seed);
       StatsRegistry stats(kPlaces);
@@ -474,74 +474,203 @@ void test_epoch_stall_blocks_reclamation() {
 }
 
 // ---------------------------------------------------- bounded capacity
+// Each storage sheds against its documented tier (DESIGN.md
+// "Robustness"): a push at capacity displaces the tier's worst resident
+// iff the incoming task beats it, and otherwise hands the incoming task
+// back whole.  Driven from one thread, so every decision is exact.
 
-void test_bounded_capacity_exact_shed() {
-  constexpr std::size_t C = 16;
-  constexpr std::uint32_t N = 200;
-  {
-    StorageConfig extra;
-    extra.capacity = C;
-    extra.overflow_policy = OverflowPolicy::shed_lowest;
-    StatsRegistry stats(1);
-    auto storage = build("global_pq", 1, 8, 5, stats, extra);
-    auto& place = storage.place(0);
-    Xoshiro256 rng(5);
-    std::vector<double> all;
-    double worst_kept = 0, best_shed = 2.0;
-    for (std::uint32_t i = 0; i < N; ++i) {
-      const double prio = rng.next_unit();
-      all.push_back(prio);
-      const auto out = storage.try_push(place, 8, {prio, i});
-      if (out.shed.has_value()) {
-        best_shed = std::min(best_shed, out.shed->priority);
+using Tier = std::map<double, std::uint32_t>;  // priority -> id
+
+/// One push at capacity against the shadow of the pusher's shed tier.
+void push_at_capacity(AnyStorage<SsspTask>& s, std::size_t place, int k,
+                      Tier& tier, SsspTask t) {
+  const auto out = s.try_push(s.place(place), k, t);
+  assert(out.shed.has_value());
+  if (!tier.empty() && t.priority < tier.rbegin()->first) {
+    assert(out.accepted && out.shed->payload == tier.rbegin()->second);
+    tier.erase(std::prev(tier.end()));
+    tier.emplace(t.priority, t.payload);
+  } else {
+    assert(!out.accepted && out.shed->payload == t.payload);
+  }
+}
+
+/// Every task left in `s`, popped place by place until a sweep is dry.
+std::vector<std::uint32_t> drain_ids(AnyStorage<SsspTask>& s) {
+  std::vector<std::uint32_t> ids;
+  for (bool dry = false; !dry;) {
+    dry = true;
+    for (std::size_t p = 0; p < s.places(); ++p) {
+      while (auto t = s.pop(s.place(p))) {
+        ids.push_back(t->payload);
+        dry = false;
       }
     }
-    std::vector<double> drained;
-    while (auto popped = storage.pop(place)) {
-      drained.push_back(popped->priority);
-      worst_kept = std::max(worst_kept, popped->priority);
-    }
-    // Exact shed: the survivors are precisely the C best tasks ever
-    // pushed, and no shed task beats any survivor.
-    std::sort(all.begin(), all.end());
-    std::vector<double> best(all.begin(),
-                             all.begin() + static_cast<long>(C));
-    std::sort(drained.begin(), drained.end());
-    assert(drained == best);
-    assert(worst_kept < best_shed);
-    const PlaceStats totals = stats.total();
-    assert(totals.get(Counter::tasks_shed) == N - C);
-    assert(totals.get(Counter::tasks_spawned) == N);
-    assert(totals.get(Counter::push_rejected) == 0);
   }
-  {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void test_shed_tiers() {
+  constexpr int k = 8;
+  constexpr std::uint32_t kAtCapacity = 300;
+  // `kept` tasks, pushed first from place 0 with the worst priorities,
+  // sit outside the shed tier: the centralized window, the hybrid's
+  // published runs (its 8th push publishes), place 0's heap, or the
+  // whole deque.  The rest of the capacity fills the tier from the
+  // pushing place (the last one).
+  struct Case {
+    const char* name;
+    std::size_t places;
+    std::size_t capacity;
+    std::uint32_t kept;
+  };
+  const Case cases[] = {
+      {"global_pq", 1, 16, 0},   // the one heap: the global worst
+      {"centralized", 1, 16, 8}, // overflow heap; window tasks never
+      {"hybrid", 1, 12, 8},      // the pusher's private heap
+      {"hybrid", 1, 8, 8},       // ... which is empty: the incoming task
+      {"ws_priority", 2, 16, 8}, // the pusher's own heap
+      {"ws_deque", 1, 16, 16},   // nothing ranked: the incoming task
+  };
+  for (const Case& c : cases) {
     StorageConfig extra;
-    extra.capacity = C;
-    extra.overflow_policy = OverflowPolicy::reject;
-    StatsRegistry stats(1);
-    auto storage = build("global_pq", 1, 8, 5, stats, extra);
-    auto& place = storage.place(0);
-    std::uint32_t accepted = 0;
-    for (std::uint32_t i = 0; i < N; ++i) {
-      if (storage.try_push(place, 8, {1.0 + i, i}).accepted) ++accepted;
+    extra.capacity = c.capacity;
+    StatsRegistry stats(c.places);
+    auto s = build(c.name, c.places, k, 5, stats, extra);
+    const std::size_t pusher = c.places - 1;
+    std::vector<std::uint32_t> kept;
+    Tier tier;
+    std::uint32_t id = 0;
+    for (; id < c.capacity; ++id) {
+      const bool keep = id < c.kept;
+      const double prio = (keep ? 1000.0 : 500.0) + id;
+      const auto out = s.try_push(s.place(keep ? 0 : pusher), k, {prio, id});
+      assert(out.accepted && !out.shed.has_value());
+      if (keep) {
+        kept.push_back(id);
+      } else {
+        tier.emplace(prio, id);
+      }
     }
-    assert(accepted == C);
+    // Priorities in [0, 2000): some beat the tier, some only the kept
+    // tasks (shed anyway), some nothing.
+    Xoshiro256 rng(5);
+    for (std::uint32_t i = 0; i < kAtCapacity; ++i, ++id) {
+      push_at_capacity(s, pusher, k, tier, {2000.0 * rng.next_unit(), id});
+    }
+    std::vector<std::uint32_t> want = kept;
+    for (const auto& [prio, tid] : tier) want.push_back(tid);
+    std::sort(want.begin(), want.end());
+    assert(drain_ids(s) == want);
     const PlaceStats totals = stats.total();
-    assert(totals.get(Counter::push_rejected) == N - C);
-    assert(totals.get(Counter::tasks_spawned) == C);
+    assert(totals.get(Counter::tasks_shed) == kAtCapacity);
+    assert(totals.get(Counter::tasks_spawned) == id);
   }
-  std::printf("  bounded capacity: exact shed-lowest + reject counters\n");
+  std::printf("  shed tiers exact at capacity: global_pq, centralized, "
+              "hybrid, ws_priority, ws_deque\n");
+}
+
+/// Which of the multiqueue's two queues each task id sits in, as a
+/// parity union-find over "same queue" / "other queue" facts; relate()
+/// returns false when a fact contradicts the earlier ones.
+struct QueueParity {
+  std::vector<std::uint32_t> up, size;
+  std::vector<std::uint8_t> flip;  // 1: in the other queue than up[x]
+
+  std::pair<std::uint32_t, std::uint8_t> root(std::uint32_t x) const {
+    std::uint8_t parity = 0;
+    for (; up[x] != x; x = up[x]) parity ^= flip[x];
+    return {x, parity};
+  }
+  void add(std::uint32_t x) {
+    up.push_back(x);
+    size.push_back(1);
+    flip.push_back(0);
+  }
+  bool relate(std::uint32_t a, std::uint32_t b, std::uint8_t other) {
+    auto [ra, pa] = root(a);
+    auto [rb, pb] = root(b);
+    if (ra == rb) return (pa ^ pb) == other;
+    if (size[ra] > size[rb]) std::swap(ra, rb);
+    up[ra] = rb;
+    size[rb] += size[ra];
+    flip[ra] = pa ^ pb ^ other;
+    return true;
+  }
+};
+
+/// The multiqueue sheds against one random queue of its two (P = 1):
+/// a displaced task is its queue's worst, so every resident worse than
+/// it sits in the other queue, and the incoming task takes its place; an
+/// incoming task comes back only when the probed queue holds nothing
+/// worse, so every resident worse than it shares the other queue.  The
+/// queues are invisible, so the test checks those facts for consistency
+/// and that the tier is not global: some displaced task is not the
+/// global worst, and some shed incoming task beats it.
+void test_multiqueue_shed_tier() {
+  constexpr std::size_t C = 16;
+  StorageConfig extra;
+  extra.capacity = C;
+  StatsRegistry stats(1);
+  auto s = build("multiqueue", 1, 8, 7, stats, extra);
+  auto& place = s.place(0);
+  Xoshiro256 rng(7);
+  Tier live;
+  QueueParity queue;
+  std::uint64_t local_displaced = 0, local_shed = 0;
+  for (std::uint32_t id = 0; id < 3000; ++id) {
+    const double prio = rng.next_unit();
+    queue.add(id);
+    const auto out = s.try_push(place, 8, {prio, id});
+    if (live.size() < C) {
+      assert(out.accepted && !out.shed.has_value());
+      live.emplace(prio, id);
+    } else if (out.accepted) {
+      const std::uint32_t worst = out.shed->payload;
+      const auto it = std::find_if(live.begin(), live.end(), [&](auto& e) {
+        return e.second == worst;
+      });
+      assert(it != live.end() && prio < it->first);
+      for (auto w = std::next(it); w != live.end(); ++w) {
+        assert(queue.relate(w->second, worst, 1));
+      }
+      assert(queue.relate(id, worst, 0));
+      if (std::next(it) != live.end()) ++local_displaced;
+      live.erase(it);
+      live.emplace(prio, id);
+    } else {
+      assert(out.shed.has_value() && out.shed->payload == id);
+      const auto worse = live.upper_bound(prio);
+      for (auto w = worse; w != live.end(); ++w) {
+        assert(queue.relate(w->second, worse->second, 0));
+      }
+      if (worse != live.end()) ++local_shed;
+    }
+    if (rng.next_bounded(4) == 0) {  // P = 1 pops are exact
+      const auto t = s.pop(place);
+      assert(t && t->payload == live.begin()->second);
+      live.erase(live.begin());
+    }
+  }
+  assert(local_displaced > 0 && local_shed > 0);
+  std::vector<std::uint32_t> want;
+  for (const auto& [prio, id] : live) want.push_back(id);
+  std::sort(want.begin(), want.end());
+  assert(drain_ids(s) == want);
+  std::printf("  multiqueue sheds one queue's worst (%llu displacements "
+              "of a non-global worst, %llu incoming sheds that beat it)\n",
+              static_cast<unsigned long long>(local_displaced),
+              static_cast<unsigned long long>(local_shed));
 }
 
 void test_sssp_terminates_under_capacity() {
   const Graph g = erdos_renyi(120, 0.1, 19);
   const std::vector<double> truth = dijkstra(g, 0).dist;
   for (const std::string_view name : kStorageNames) {
-    for (const OverflowPolicy policy :
-         {OverflowPolicy::shed_lowest, OverflowPolicy::reject}) {
+    for (const std::size_t capacity : {64, 16}) {
       StorageConfig extra;
-      extra.capacity = 64;
-      extra.overflow_policy = policy;
+      extra.capacity = capacity;
       StatsRegistry stats(2);
       auto storage = build(std::string(name), 2, 16, 31, stats, extra);
       const SsspResult r = parallel_sssp(g, 0, storage, 16, &stats);
@@ -637,7 +766,8 @@ int main() {
               static_cast<unsigned long long>(g_base_seed));
   test_spec_parser();
   test_canary_detects_loss();
-  test_bounded_capacity_exact_shed();
+  test_shed_tiers();
+  test_multiqueue_shed_tier();
   test_sssp_terminates_under_capacity();
   test_rank_bound_under_injection();
   test_epoch_stall_blocks_reclamation();

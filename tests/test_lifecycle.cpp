@@ -166,9 +166,8 @@ bool lifecycle_churn_conserves(AnyStorage<SsspTask>& storage,
                                                  rng.next_unit() * 0.5);
             if (re.detached) {
               if (!re.requeue.accepted) {
-                // Requeue bounced at the door (reject, or shed-incoming
-                // returned the re-pushed task itself): the id left the
-                // system without executing.
+                // Requeue shed at the door (the re-pushed task itself came
+                // back): the id left the system without executing.
                 me.departed.push_back(held[j].id);
                 held[j] = held.back();
                 held.pop_back();
@@ -275,7 +274,6 @@ void test_conservation_bounded() {
   for (const std::string_view name : kStorageNames) {
     StorageConfig extra;
     extra.capacity = 48;
-    extra.overflow_policy = OverflowPolicy::shed_lowest;
     StatsRegistry stats(4);
     auto storage = build(std::string(name), 4, 8, 23, stats, extra);
     std::string why;
@@ -292,19 +290,20 @@ void test_conservation_bounded() {
                totals.get(Counter::tasks_shed) +
                totals.get(Counter::tasks_cancelled));
   }
-  std::printf("  conservation ledger balanced under shed-lowest capacity\n");
+  std::printf("  conservation ledger balanced under bounded capacity\n");
 }
 
 // Every exit releases its capacity slot.  At P = 1 the gate's resident
 // count is exact, so one round that fills the storage, cancels half and
 // drains it (pops plus reaps) must leave room for a full second round —
-// a pop or a reap that kept its slot would show as refused pushes.
+// a pop or a reap that kept its slot would show as shed pushes (each
+// round pushes in worsening order, so a full storage sheds the incoming
+// task).
 void test_every_exit_releases_capacity() {
   constexpr std::uint32_t C = 64;
   for (const std::string_view name : kStorageNames) {
     StorageConfig extra;
     extra.capacity = C;
-    extra.overflow_policy = OverflowPolicy::reject;
     StatsRegistry stats(1);
     auto storage = build(std::string(name), 1, 8, 41, stats, extra);
     auto& place = storage.place(0);
@@ -312,7 +311,7 @@ void test_every_exit_releases_capacity() {
       std::vector<TaskHandle> handles;
       for (std::uint32_t i = 0; i < C; ++i) {
         const auto out = storage.try_push(place, 8, {1.0 + i, round * C + i});
-        assert(out.accepted && out.handle.valid());
+        assert(!out.shed.has_value() && out.handle.valid());
         handles.push_back(out.handle);
       }
       for (std::uint32_t i = 0; i < C; i += 2) {
@@ -323,7 +322,7 @@ void test_every_exit_releases_capacity() {
       assert(pops == C / 2);
     }
     const PlaceStats totals = stats.total();
-    assert(totals.get(Counter::push_rejected) == 0);
+    assert(totals.get(Counter::tasks_shed) == 0);
     assert(totals.get(Counter::tombstones_reaped) == C);
   }
   std::printf("  every pop and reap releases its capacity slot, "

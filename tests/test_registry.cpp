@@ -143,18 +143,18 @@ void test_config_validation() {
 // hybrid folds its own mail first and claims the best of private heap,
 // segment heads and cold heap; ws_priority has one heap; the centralized
 // window is one slot at k = 1; the multiqueue compares both its queues'
-// tops.  The multiqueue runs only the stream without lifecycle ops: a
-// tombstone on top of one queue hides the better task of the other.
+// tops, and after reaping a tombstone claims the next task only while it
+// still beats the other queue's top.
 
 struct OrderRow {
   const char* name;
   int k;
   int publish_batch;
-  bool lifecycle_ops;  // the stream also cancels and reprioritizes
 };
 
-/// Drive `row` and a sequential DaryHeap reference with one seeded op
-/// stream and assert every pop matches; returns the storage's counters.
+/// Drive `row` and a sequential DaryHeap reference with one seeded
+/// stream of pushes, pops, cancels and reprioritizes and assert every
+/// pop matches; returns the storage's counters.
 /// Bursts of pushes with no pop between them overflow the hybrid's
 /// 64-run ring and its 64-segment store.
 PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
@@ -240,7 +240,7 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
       const std::uint64_t op = rng.next_bounded(100);
       if (op < 50 || live.empty()) {
         push();
-      } else if (op < 85 || !row.lifecycle_ops) {
+      } else if (op < 85) {
         pop();
       } else if (op < 93) {
         const std::uint32_t id = live[rng.next_bounded(live.size())];
@@ -263,9 +263,8 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
 
 void test_p1_exact_order() {
   const OrderRow rows[] = {
-      {"global_pq", 64, 64, true},  {"centralized", 1, 64, true},
-      {"hybrid", 4, 1, true},       {"hybrid", 16, 64, true},
-      {"ws_priority", 64, 64, true}, {"multiqueue", 64, 64, false},
+      {"global_pq", 64, 64}, {"centralized", 1, 64}, {"hybrid", 4, 1},
+      {"hybrid", 16, 64},    {"ws_priority", 64, 64}, {"multiqueue", 64, 64},
   };
   std::uint64_t fallbacks = 0;
   for (const OrderRow& row : rows) {

@@ -11,7 +11,9 @@ Rules
                  name column of DESIGN.md's trace-event table, both ways.
   seam-sync      every KPS_FAILPOINT/KPS_FAILPOINT_FAIL seam literal in the
                  headers appears in DESIGN.md's seam catalog, and vice
-                 versa (no phantom documentation).
+                 versa (no phantom documentation).  A row's Kind says
+                 FAIL iff some site of its seam is KPS_FAILPOINT_FAIL
+                 (a timing-only seam ignores `fail`).
   counter-sync   kCounterNames (support/stats.hpp) matches the counter
                  glossary table in DESIGN.md, both ways.
   header-hygiene every header has `#pragma once` and never includes
@@ -47,7 +49,7 @@ CONTINUATION_STARTS = ("?", ":", "&&", "||", ".", "+", "-", ")", "<<")
 BOUNDARY_ENDINGS = (";", "{", "}")
 WALK_LIMIT = 12
 
-FAILPOINT_RE = re.compile(r'KPS_FAILPOINT(?:_FAIL)?\(\s*"([^"]+)"')
+FAILPOINT_RE = re.compile(r'KPS_FAILPOINT(_FAIL)?\(\s*"([^"]+)"')
 # A data member declaration: `Type name;` or `Type name = init;`.
 FIELD_RE = re.compile(r"^[\w:<>]+\s*[*&]?\s+(\w+)\s*(?:=[^;]*)?;$")
 # The option structs, by header, and where their callers must live.
@@ -205,9 +207,10 @@ def parse_name_array(path, lines, array_name):
     return None
 
 
-def parse_md_table(md_lines, header_cells, col):
-    """Backticked tokens from column `col` of the markdown table whose
-    header row contains all of header_cells, as [(token, line)]."""
+def parse_md_rows(md_lines, header_cells):
+    """Data rows of the markdown table whose header row contains all of
+    header_cells, as [(cells, line)], or None if there is no such
+    table."""
     out, active = [], False
     for i, raw in enumerate(md_lines):
         stripped = raw.strip()
@@ -219,11 +222,20 @@ def parse_md_table(md_lines, header_cells, col):
         if not stripped.startswith("|"):
             break
         cells = [c.strip() for c in stripped.strip("|").split("|")]
-        if col >= len(cells) or set(cells[col]) <= {"-", " ", ":"}:
+        if set(cells[0]) <= {"-", " ", ":"}:
             continue  # separator row
-        for m in BACKTICK_RE.finditer(cells[col]):
-            out.append((m.group(1), i + 1))
+        out.append((cells, i + 1))
     return out if active else None
+
+
+def parse_md_table(md_lines, header_cells, col):
+    """Backticked tokens from column `col` of the markdown table whose
+    header row contains all of header_cells, as [(token, line)]."""
+    rows = parse_md_rows(md_lines, header_cells)
+    if rows is None:
+        return None
+    return [(m.group(1), line) for cells, line in rows if col < len(cells)
+            for m in BACKTICK_RE.finditer(cells[col])]
 
 
 def check_sync(diag, kind, code_side, doc_side):
@@ -244,11 +256,12 @@ def check_sync(diag, kind, code_side, doc_side):
 
 
 def collect_seams(headers):
+    """Every seam site as (path, name, line, is_fail_site)."""
     out = []
     for path, lines in headers:
         for i, raw in enumerate(lines):
             for m in FAILPOINT_RE.finditer(code_part(raw)):
-                out.append((path, m.group(1), i + 1))
+                out.append((path, m.group(2), i + 1, bool(m.group(1))))
     return out
 
 
@@ -317,15 +330,18 @@ def run(root: str) -> int:
                    (design_md, counter_doc))
 
     # seam-sync
-    seam_doc = parse_md_table(md_lines, ("| Seam |", "Injected meaning"), 0)
+    seam_header = ("| Seam |", "Injected meaning")
+    seam_rows = parse_md_rows(md_lines, seam_header)
     seam_code = collect_seams(headers)
-    if seam_doc is None:
+    if seam_rows is None:
         diag.error(design_md, 1, "failpoint seam catalog table not found")
     else:
+        seam_doc = parse_md_table(md_lines, seam_header, 0)
         doc_names = {name for name, _ in seam_doc}
-        code_names = {name for _, name, _ in seam_code}
+        code_names = {name for _, name, _, _ in seam_code}
+        fail_names = {name for _, name, _, fail in seam_code if fail}
         seen = set()
-        for path, name, line in seam_code:
+        for path, name, line, _ in seam_code:
             if name not in doc_names and name not in seen:
                 seen.add(name)
                 diag.error(path, line,
@@ -336,6 +352,18 @@ def run(root: str) -> int:
                 diag.error(design_md, line,
                            f"failpoint seam `{name}` is documented but "
                            "absent from the code")
+        for cells, line in seam_rows:
+            says_fail = len(cells) > 1 and "FAIL" in cells[1]
+            for m in BACKTICK_RE.finditer(cells[0]):
+                name = m.group(1)
+                if name not in code_names or says_fail == (
+                        name in fail_names):
+                    continue
+                diag.error(design_md, line,
+                           f"failpoint seam `{name}` has Kind "
+                           f"{'FAIL' if says_fail else 'timing'} but "
+                           f"{'no' if says_fail else 'a'} site uses "
+                           "KPS_FAILPOINT_FAIL")
 
     return diag.flush()
 

@@ -22,9 +22,13 @@ C = os.path.join("include", "kps", "core")
 EXPECTED = sorted([
     "DESIGN.md:5: error: failpoint seam `documented.seam` is documented "
     "but absent from the code",
-    "DESIGN.md:10: error: trace event `ghost.event` is documented but "
+    "DESIGN.md:8: error: failpoint seam `timing.says_fail` has Kind FAIL "
+    "but no site uses KPS_FAILPOINT_FAIL",
+    "DESIGN.md:9: error: failpoint seam `fail.says_timing` has Kind "
+    "timing but a site uses KPS_FAILPOINT_FAIL",
+    "DESIGN.md:14: error: trace event `ghost.event` is documented but "
     "absent from the code",
-    "DESIGN.md:15: error: counter `ghost_counter` is documented but "
+    "DESIGN.md:19: error: counter `ghost_counter` is documented but "
     "absent from the code",
     f"{C}/storage_traits.hpp:9: error: option "
     "`StorageConfig::test_only_knob` is set by no file under bench/, "
