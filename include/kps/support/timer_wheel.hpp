@@ -19,19 +19,33 @@
 // deadline paths), and at P>1 determinism degrades only as far as the
 // pop interleaving itself.
 //
+// Deadlines cost nothing until due.  The wheel keeps a lower bound on
+// its earliest armed deadline in an atomic that advance() reads before
+// the lock, so an advance with nothing due takes no lock and scans
+// nothing.  schedule() lowers the bound to its deadline; a drain sets it
+// to the next tick while anything stays armed (every later advance then
+// runs as it would without the peek) and to "never" when nothing does.
+// A skipped advance leaves the wheel position behind; the next advance
+// that runs covers the whole span since the last one that ran.
+//
 // Concurrency: one spinlock guards the ring.  schedule() takes it
 // briefly; advance() only try_locks — if another worker is mid-advance,
 // the tick is simply skipped and the next advance covers the gap (the
-// (last_, now] span contract makes missed calls free).  Entries are
-// fired OUTSIDE the lock so a fire callback may re-enter schedule().
+// (last_, now] span contract makes missed calls free).  The unlocked
+// peek at the earliest deadline is the same kind of skip: a stale value
+// only moves a fire to a later advance, or costs one lock that finds
+// nothing; a timer never fires before its deadline.  Entries are fired
+// OUTSIDE the lock so a fire callback may re-enter schedule().
 //
 // The "timer.fire" failpoint seam defers a due entry by re-scheduling it
 // one tick ahead instead of firing it, modelling a lost deadline without
 // losing the action.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -47,22 +61,34 @@ class TimerWheel {
   static constexpr std::uint64_t kSlots = 256;  // power of two
 
   /// Arm `payload` to fire at logical tick `when`.  Deadlines at or
-  /// before the wheel's current position are clamped to the next tick —
-  /// a timer never fires in the past and never silently vanishes.
+  /// before the last tick an advance actually covered are clamped to the
+  /// next tick — a timer never fires in the past and never silently
+  /// vanishes.  A deadline passed only by advances skipped at the peek
+  /// keeps its value and fires at the next advance that runs.
   void schedule(std::uint64_t when, Payload payload) {
     lock_.lock();
     if (when <= last_) when = last_ + 1;
     slots_[when & (kSlots - 1)].push_back(Entry{when, std::move(payload)});
+    // order: relaxed — earliest_ is written only under lock_; advance()'s
+    // unlocked read of it is a hint (see there).
+    if (when < earliest_.load(std::memory_order_relaxed)) {
+      earliest_.store(when, std::memory_order_relaxed);  // order: relaxed — as above
+    }
     ++armed_;
     lock_.unlock();
   }
 
   /// Advance the wheel to logical tick `now`, firing every entry whose
-  /// deadline lies in (last, now].  Returns the number fired.  Lock
-  /// contention or an already-seen tick: no-op (another driver owns the
-  /// span, or there is nothing new to cover).
+  /// deadline lies in (last, now].  Returns the number fired.  Nothing
+  /// due, lock contention or an already-seen tick: no-op (nothing to
+  /// fire, another worker owns the span, or nothing new to cover).
   template <typename Fire>
   std::size_t advance(std::uint64_t now, Fire&& fire) {
+    // order: relaxed — a hint read before the lock; the slots themselves
+    // are read only after try_lock's acquire.  Stale-high delays a due
+    // entry to a later advance (as a lost try_lock does), stale-low costs
+    // one lock that finds nothing.
+    if (now < earliest_.load(std::memory_order_relaxed)) return 0;
     if (!lock_.try_lock()) return 0;
     const std::uint64_t last = last_;
     if (now <= last) {
@@ -80,6 +106,9 @@ class TimerWheel {
     }
     last_ = now;
     armed_ -= due_.size();
+    // Survivors are all due after now, so now + 1 bounds them from below.
+    // order: relaxed — under lock_; see schedule().
+    earliest_.store(armed_ == 0 ? kNever : now + 1, std::memory_order_relaxed);
     // Hand the due set to a local so fire callbacks may re-enter
     // schedule() (e.g. the failpoint's defer-by-one).
     std::vector<Entry> firing;
@@ -108,6 +137,9 @@ class TimerWheel {
   }
 
  private:
+  static constexpr std::uint64_t kNever =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct Entry {
     std::uint64_t when;
     Payload payload;
@@ -135,9 +167,13 @@ class TimerWheel {
       std::vector<std::vector<Entry>>(kSlots);
   // Scratch: filled under lock_, swapped to a local before firing.
   std::vector<Entry> due_ KPS_GUARDED_BY(lock_);
-  // Wheel position: last tick already covered.
+  // Wheel position: last tick already covered by an advance that ran.
   std::uint64_t last_ KPS_GUARDED_BY(lock_) = 0;
   std::size_t armed_ KPS_GUARDED_BY(lock_) = 0;
+  // Lower bound on the earliest armed deadline, kNever when none armed;
+  // written under lock_, read unlocked by advance().  Its own cache line:
+  // schedule() writes armed_ on every call, and every advance reads this.
+  alignas(kCacheLine) std::atomic<std::uint64_t> earliest_{kNever};
 };
 
 }  // namespace kps

@@ -50,6 +50,15 @@
 // panel).  Chain times are monotone, so a recompute-from-observed heal
 // can only under-estimate — the root is a true lower bound on live
 // virtual time at every sample.
+//
+// Per-place tallies: the commit tallies that only feed end-of-run sums
+// (the checksum, the per-station counts, the floor-load count) live in
+// cache-line-aligned accumulators per place, each filling whole lines,
+// and are added up after the workers join, so a commit writes no counter
+// line another place writes.  The sums are mod 2^64 and order-free, so
+// DesOutcome and DesRun::floor_loads are bit-identical to shared
+// counters.  What other places must see stays shared: chain_time, the
+// floor index and the committed-high-water inversion probe.
 #pragma once
 
 #include <algorithm>
@@ -239,11 +248,24 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   }
   RunnerTimerWheel<Storage> wheel;
 
-  std::vector<std::atomic<std::uint64_t>> counts(
-      std::max<std::uint32_t>(p.stations, 1));
-  // order: relaxed — single-threaded init before workers start.
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> checksum{0};
+  // Commit tallies that only feed end-of-run sums accumulate per place
+  // (header comment) and are added up after the join.  A place's station
+  // counts fill `count_lines` whole cache lines of their own.
+  struct alignas(kCacheLine) PlaceTally {
+    std::uint64_t checksum = 0;  // commutative, mod 2^64
+    std::uint64_t floor_loads = 0;
+  };
+  constexpr std::size_t kPerLine = kCacheLine / sizeof(std::uint64_t);
+  struct alignas(kCacheLine) CountLine {
+    std::uint64_t n[kPerLine] = {};
+  };
+  const std::size_t stations = std::max<std::uint32_t>(p.stations, 1);
+  const std::size_t count_lines = (stations + kPerLine - 1) / kPerLine;
+  std::vector<PlaceTally> tallies(storage.places());
+  std::vector<CountLine> counts(storage.places() * count_lines);
+  auto count = [&](std::size_t place, std::size_t s) -> std::uint64_t& {
+    return counts[place * count_lines + s / kPerLine].n[s % kPerLine];
+  };
   std::atomic<std::uint64_t> inversions{0};
   std::atomic<double> committed_high{-kInf};
 
@@ -260,7 +282,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   const bool use_floor = p.window >= 0 && p.chains > 0;
   std::optional<MinIndex> floor_index;
   if (use_floor) floor_index.emplace((p.chains + 63) / 64);
-  std::atomic<std::uint64_t> floor_loads{0};
   for (std::uint32_t c = 0; c < p.chains; ++c) {
     const double t0 = des_initial_time(p, c);
     chain_time[c].store(t0, std::memory_order_relaxed);  // order: relaxed — init
@@ -304,10 +325,12 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
                     const DesTask& task) -> bool {
     const DesEvent ev = task.payload;
     const double t = task.priority;
+    const std::size_t place = handle.place_index();
+    PlaceTally& tally = tallies[place];
 
     if (use_floor && ev.defers < p.max_defer) {
       const double floor = floor_index->root();
-      floor_loads.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+      ++tally.floor_loads;
       if (t > floor + p.window) {
         // Causality-window violation: lazy re-enqueue, same timestamp,
         // one more defer spent.  The runner tallies it as a wasted pop.
@@ -333,9 +356,8 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     }
 
     const DesTransition tr = des_transition(p, ev.chain, ev.step, t);
-    counts[tr.station].fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
-    checksum.fetch_add(detail::des_fingerprint(ev.chain, ev.step, t),
-                       std::memory_order_relaxed);  // order: relaxed — commutative sum
+    ++count(place, tr.station);
+    tally.checksum += detail::des_fingerprint(ev.chain, ev.step, t);
     // Spawn BEFORE raising chain_time (ordering invariant, header
     // comment): a raised entry must never describe an event nobody can
     // pop yet.  store_max, not store — the successor's worker may have
@@ -348,9 +370,8 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     }
     if (use_floor) {
       const std::size_t b = ev.chain / 64;
-      std::uint64_t loads = 0;
-      floor_index->heal_block(b, [&] { return block_floor(b, &loads); });
-      floor_loads.fetch_add(loads, std::memory_order_relaxed);  // order: relaxed — counter
+      floor_index->heal_block(
+          b, [&] { return block_floor(b, &tally.floor_loads); });
     }
     return true;
   };
@@ -362,14 +383,15 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   // Every pop commits its event (expanded) or defers it (wasted).
   run.outcome.events = run.runner.expanded;
   run.deferred = run.runner.wasted;
-  // order: relaxed (result reads) — at quiescence, workers joined.
+  // order: relaxed (result read) — at quiescence, workers joined.
   run.inversions = inversions.load(std::memory_order_relaxed);
-  run.floor_loads = floor_loads.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.checksum = checksum.load(std::memory_order_relaxed);  // order: relaxed — see above
-  run.outcome.station_counts.resize(counts.size());
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    run.outcome.station_counts[s] =
-        counts[s].load(std::memory_order_relaxed);  // order: relaxed — quiescent
+  run.outcome.station_counts.assign(stations, 0);
+  for (std::size_t place = 0; place < tallies.size(); ++place) {
+    run.outcome.checksum += tallies[place].checksum;
+    run.floor_loads += tallies[place].floor_loads;
+    for (std::size_t s = 0; s < stations; ++s) {
+      run.outcome.station_counts[s] += count(place, s);
+    }
   }
   return run;
 }

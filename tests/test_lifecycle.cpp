@@ -18,7 +18,10 @@
 //   * Speculative branch-and-bound (ablation A19's invariant): incumbent
 //     -driven cancellation still lands exactly on the DP optimum, and
 //     actually cancels something.
-//   * Timer wheel: unit-level slot/overflow semantics, then end-to-end —
+//   * Timer wheel: unit-level slot/overflow semantics, the
+//     earliest-deadline peek (same ticks, same order), a P = 4
+//     shared-clock case (each deadline fires once, never early), then
+//     end-to-end —
 //     DES with expiry armed is deterministic across identical seeded
 //     runs, a never-firing deadline reproduces the sequential oracle
 //     bit-for-bit, and a tight deadline expires events while keeping the
@@ -482,6 +485,142 @@ void test_timer_wheel_unit() {
   std::printf("  timer wheel: slot order, far-future parking, big jumps\n");
 }
 
+// Fire record: the tick of the advance that fired, the entry's deadline
+// and its payload.
+struct Fired {
+  std::uint64_t now;
+  std::uint64_t when;
+  int value;
+  bool operator==(const Fired&) const = default;
+};
+
+// Advance one tick at a time over (from, to], recording every fire.
+void step_wheel(TimerWheel<int>& wheel, std::uint64_t from, std::uint64_t to,
+                std::vector<Fired>& fired) {
+  for (std::uint64_t now = from + 1; now <= to; ++now) {
+    wheel.advance(now, [&](std::uint64_t when, int v) {
+      fired.push_back({now, when, v});
+    });
+  }
+}
+
+void test_timer_wheel_peek() {
+  // (1) A slot holding a due entry and a later-revolution one, in both
+  // insertion orders: only the due one fires at its tick, the survivor
+  // exactly one revolution later.
+  for (const bool later_first : {false, true}) {
+    TimerWheel<int> wheel;
+    if (later_first) wheel.schedule(5 + 256, 2);
+    wheel.schedule(5, 1);
+    if (!later_first) wheel.schedule(5 + 256, 2);
+    wheel.schedule(8, 3);
+    std::vector<Fired> fired;
+    step_wheel(wheel, 0, 300, fired);
+    assert((fired == std::vector<Fired>{{5, 5, 1}, {8, 8, 3}, {261, 261, 2}}));
+    assert(wheel.armed() == 0);
+  }
+
+  // (2) Advances skipped at the peek while nothing is due (the only
+  // deadline is far off), then a nearer schedule: it still fires at its
+  // tick.  Once nothing is armed every advance is skipped, so a deadline
+  // passed only by skipped advances keeps its value and fires at the
+  // next advance; one at or before the last covered tick still clamps.
+  {
+    TimerWheel<int> wheel;
+    std::vector<Fired> fired;
+    wheel.schedule(1000, 1);
+    step_wheel(wheel, 0, 50, fired);
+    assert(fired.empty());
+    wheel.schedule(60, 2);
+    step_wheel(wheel, 50, 100, fired);
+    assert((fired == std::vector<Fired>{{60, 60, 2}}));
+    step_wheel(wheel, 100, 1300, fired);  // 1000 fires; 1001.. skipped
+    assert(fired.size() == 2 && (fired[1] == Fired{1000, 1000, 1}));
+    assert(wheel.armed() == 0);
+    wheel.schedule(1250, 3);
+    step_wheel(wheel, 1300, 1301, fired);
+    assert(fired.size() == 3 && (fired[2] == Fired{1301, 1250, 3}));
+    wheel.schedule(1200, 4);
+    step_wheel(wheel, 1301, 1302, fired);
+    assert(fired.size() == 4 && (fired[3] == Fired{1302, 1302, 4}));
+    assert(wheel.armed() == 0);
+  }
+
+  // (3) Entries sharing a deadline fire in insertion order, also when a
+  // drain compacted a later-revolution survivor in between.
+  {
+    TimerWheel<int> wheel;
+    std::vector<Fired> fired;
+    wheel.schedule(40 + 256, 100);
+    for (int v = 0; v < 8; ++v) wheel.schedule(40, v);
+    wheel.schedule(40 + 256, 101);
+    step_wheel(wheel, 0, 40, fired);
+    assert(fired.size() == 8);
+    for (int v = 0; v < 8; ++v) assert((fired[v] == Fired{40, 40, v}));
+    wheel.schedule(40 + 256, 102);
+    fired.clear();
+    step_wheel(wheel, 40, 400, fired);
+    assert((fired == std::vector<Fired>{
+                {296, 296, 100}, {296, 296, 101}, {296, 296, 102}}));
+  }
+  std::printf("  timer wheel: earliest-deadline peek fires at the same "
+              "ticks in the same order\n");
+}
+
+// (4) P = 4 threads each advance a shared clock and schedule deadlines
+// on one wheel: mostly a few ticks out, every 16th a revolution or two
+// out.  Every payload fires exactly once and never before its deadline.
+// Run again with the timer.fire seam armed, whose deferrals must not
+// lose or duplicate a payload.
+void test_timer_wheel_concurrent() {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint32_t kPerThread = 5000;
+  constexpr std::size_t kTotal = kThreads * kPerThread;
+  TimerWheel<std::uint32_t> wheel;
+  std::atomic<std::uint64_t> clock{0};
+  std::vector<std::uint64_t> deadline(kTotal, 0);
+  std::vector<std::atomic<std::uint32_t>> fires(kTotal);
+  std::atomic<std::uint64_t> early{0};
+  auto fire_at = [&](std::uint64_t now) {
+    return [&, now](std::uint64_t /*when*/, std::uint32_t id) {
+      // deadline[id] was written before schedule() released the lock
+      // that this advance acquired.
+      if (now < deadline[id]) early.fetch_add(1, std::memory_order_relaxed);
+      fires[id].fetch_add(1, std::memory_order_relaxed);
+    };
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(1000 + t);
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t now =
+            clock.fetch_add(1, std::memory_order_relaxed) + 1;
+        wheel.advance(now, fire_at(now));
+        const std::uint32_t id = static_cast<std::uint32_t>(t * kPerThread + i);
+        const std::uint64_t delay = i % 16 == 0 ? 256 + rng.next_bounded(256)
+                                                : 1 + rng.next_bounded(24);
+        deadline[id] = now + delay;
+        wheel.schedule(deadline[id], id);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  // Drain: the clock runs on until every armed entry (deferrals too) fired.
+  std::uint64_t now = clock.load(std::memory_order_relaxed);
+  while (wheel.armed() > 0) {
+    ++now;
+    wheel.advance(now, fire_at(now));
+  }
+  assert(early.load(std::memory_order_relaxed) == 0);
+  for (std::size_t id = 0; id < kTotal; ++id) {
+    assert(fires[id].load(std::memory_order_relaxed) == 1);
+  }
+  std::printf("  timer wheel P=%zu: %zu deadlines fired once each, none "
+              "early\n",
+              kThreads, kTotal);
+}
+
 DesRun run_des_expiry(const DesParams& p, const std::string& name,
                       std::size_t P, StatsRegistry& stats) {
   StorageConfig cfg;
@@ -606,6 +745,12 @@ void test_lifecycle_failpoints() {
   std::printf("  lifecycle seams armed: conservation + DES expiry hold "
               "(%llu refused cancels)\n",
               static_cast<unsigned long long>(cancel_fired));
+
+  // The shared-clock wheel case with deferred fires.
+  assert(fp::apply_spec("timer.fire=fail:p=0.3").empty());
+  test_timer_wheel_concurrent();
+  assert(fp::site("timer.fire").fired() > 0);
+  fp::disarm_all();
 }
 
 // ----------------------------------------------------- the detach race
@@ -672,6 +817,8 @@ int main() {
   test_exactness_with_cancellation();
   test_bnb_speculative_exact();
   test_timer_wheel_unit();
+  test_timer_wheel_peek();
+  test_timer_wheel_concurrent();
   test_des_expiry();
   test_lifecycle_failpoints();
   test_detach_race();
