@@ -5,32 +5,36 @@
 // Tiers, from hottest to coldest:
 //
 //   private  — a place-owned d-ary heap behind a place-owned spinlock that
-//              is uncontended except for desperate spies: the owner's
-//              push/pop fast path is one uncontended CAS plus plain heap
-//              work — no allocation, and the only shared-line touch is
-//              one read of the cached published minimum.
+//              is uncontended except for spies: the owner's push/pop fast
+//              path is one uncontended CAS plus plain heap work — no
+//              allocation, and the owner stores its advert only when its
+//              store's minimum changes.
 //   published— every k-th push (temporal ρ-relaxation) — or once k *live*
 //              private tasks accumulate (structural, §5.3) — the owner
 //              flushes its private heap as one ascending run, splits it
 //              into pre-sorted segments of at most publish_batch tasks
 //              (ablation A10) and MAILS each one to a peer's bounded MPSC
 //              inbox ring (support/mpsc_ring.hpp; round-robin, self at
-//              P = 1); an inbox entry IS a segment.  Each owner folds its
-//              pending inbox entries into its own segment store at pop
-//              time, flat-combining style — O(log S) per segment against
-//              the segment-head index — so only the owner ever mutates
-//              its structures, and does so cache-hot.  A full inbox never
-//              blocks: the publisher keeps the run and self-folds it
-//              (counter inbox_full_fallbacks).  A publish is the only
-//              moment a place's tasks cost coherence traffic — 1/k of
-//              pushes.
-//   spying   — the one cross-place pull.  A place whose own store is empty,
-//              or beaten by a foreign advert, may try_lock a victim's
-//              private lock (never blocking the owner's spin loop) and
-//              claim the best task of the victim's whole owner-folded
-//              store (private heap, segment heads, cold heap).  Without
-//              it, idle places would stall until the next publish
-//              (ablation A2 measures exactly this).
+//              P = 1); an inbox entry IS a segment.  A pop drains its
+//              place's pending inbox entries into the place's own segment
+//              store, flat-combining style — O(log S) per segment against
+//              the segment-head index — and a spy drains its victim's the
+//              same way, so a store is only ever mutated under its place's
+//              lock.  A full inbox never blocks: the publisher keeps the
+//              run and self-folds it (counter inbox_full_fallbacks).  A
+//              publish is the only moment a place's tasks cost coherence
+//              traffic — 1/k of pushes.
+//   spying   — the one cross-place pull.  Under its own lock, a pop reads
+//              each peer's advert once (min of its private_min and
+//              inbox_min); when one beats the own best it try_locks that
+//              victim (never blocking the victim's owner), drains the
+//              victim's inbox, and claims the best task of the victim's
+//              whole store (private heap, segment heads, cold heap) if it
+//              still beats the own best; otherwise, or on a lost try_lock,
+//              it claims its own best in the same hold.  A place blocks
+//              only on its own lock and only try_locks a foreign one, so
+//              holding two cannot deadlock.  Without spying, idle places
+//              would stall until the next publish (ablation A2).
 //
 // Lifecycle (PR 7): every container of every tier holds LcEntry, so a
 // task's control block rides along through publish flushes, mail, folds,
@@ -42,8 +46,8 @@
 // Relaxation guarantee: at most k tasks per place are unpublished at any
 // time, and a mailed-but-unfolded segment is already advertised through
 // its target's inbox minimum, so a pop bypasses at most ρ = P·k better
-// tasks (ablation A1).  Pops compare the own best against the advertised
-// minima before executing local work, keeping the realized rank error
+// tasks (ablation A1).  Pops compare the own best against every peer's
+// advert before executing local work, keeping the realized rank error
 // far below ρ.
 #pragma once
 
@@ -106,42 +110,32 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
 
-    // Private tier.  The lock is the owner's own cache line; spies only
-    // try_lock it when their own store cannot serve the pop.
+    // Private tier.  The lock is the owner's own cache line; a peer only
+    // try_locks it when this place's advert beat the peer's own best.
     Spinlock private_lock;
     DaryHeap<Entry, detail::LcEntryLess, 4> private_heap
         KPS_GUARDED_BY(private_lock);
     std::uint64_t pushes_since_publish KPS_GUARDED_BY(private_lock) = 0;
-    std::atomic<double> private_min{kEmptyMin};
 
     // Owner-only publish buffer: filled by the owner under private_lock,
     // mailed out by the same thread after it drops.  No single capability
     // covers it — the owner thread is the ownership argument, so it stays
     // unguarded on purpose.
     std::vector<Entry> flush_buf;
-
-    // The owner's bounded MPSC inbox: peers commit pre-sorted runs, the
-    // owner folds them at pop time.  The ring is its own synchronization
-    // (reserve/commit protocol), so it needs no capability.
-    MpscRing<std::vector<Entry>> inbox;
-    // Advisory minimum over unfolded inbox entries: CAS-min'd by
-    // appenders, reset by the owner's fold.  A hint, like private_min — a
-    // stale value misroutes a redirect, never loses a task.
-    std::atomic<double> inbox_min{kEmptyMin};
     // Owner-only round-robin cursor for publish targets (same ownership
     // argument as flush_buf).
     std::uint64_t publish_cursor = 0;
     // Owner-only pool of emptied run buffers: a buffer returns here when
-    // this place's thread exhausts its segment (own pop or spy) or spills
-    // it, and the next publish draws its chunk buffers from here.  Closes
-    // the buffer cycle mail → fold → claim → recycle → next mail, so a
-    // steady-state publish allocates nothing (same ownership argument as
-    // flush_buf).
+    // this place's thread exhausts or spills a segment — of its own store
+    // or, as a spy, of a victim's — and the next publish draws its chunk
+    // buffers from here.  Closes the buffer cycle mail → fold → claim →
+    // recycle → next mail, so a steady-state publish allocates nothing
+    // (same ownership argument as flush_buf).
     std::vector<std::vector<Entry>> run_pool;
-    // Owner-folded store: segments from folded inbox entries plus a cold
+    // Owner-folded store: segments from drained inbox entries plus a cold
     // heap fed by the spill policy.  Everything below is mutated only
-    // under private_lock (by the owner on fold/claim, by a spy that won
-    // the try_lock), so the private tier's capability covers it.
+    // under private_lock (by the owner, or by a spy that won the
+    // try_lock), so the private tier's capability covers it.
     std::vector<Segment> segments KPS_GUARDED_BY(private_lock);
     std::vector<std::uint32_t> segment_free KPS_GUARDED_BY(private_lock);
     DaryHeap<SegHead, SegHeadLess, 4> seg_index KPS_GUARDED_BY(private_lock);
@@ -149,6 +143,22 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
         KPS_GUARDED_BY(private_lock);
     // Spill scratch: touched only inside maybe_spill_segments.
     std::vector<SegHead> spill_buf KPS_GUARDED_BY(private_lock);
+
+    // The two adverts every peer's pop reads, each on a cache line of its
+    // own (alignas here and on the member after it; Place's own alignment
+    // pads the last), so the owner's heap and segment-index writes never
+    // invalidate them.  private_min is the exact minimum of the whole
+    // owner-folded store: spies can claim from any of it.
+    alignas(kCacheLine) std::atomic<double> private_min{kEmptyMin};
+    // The bounded MPSC inbox: peers commit pre-sorted runs without a lock
+    // (the ring's reserve/commit protocol, so it carries no capability),
+    // and whoever holds private_lock (the owner's pop or a spy) drains
+    // them — one consumer at a time, which is the ring's contract.
+    alignas(kCacheLine) MpscRing<std::vector<Entry>> inbox;
+    // Advisory minimum over undrained inbox entries: CAS-min'd by
+    // appenders, reset by the drain.  A hint — a stale value costs one
+    // wasted try_lock, never a task.
+    alignas(kCacheLine) std::atomic<double> inbox_min{kEmptyMin};
 
     /// Best task anywhere in the owner-folded store (private heap,
     /// segment heads, cold heap); kEmptyMin when all three are empty.
@@ -165,10 +175,15 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
       }
       return m;
     }
-    /// The advertised "private" minimum covers the whole owner-folded
-    /// store: spies can claim from any of it.
+    /// Re-advertise the store's minimum, storing only on a change: every
+    /// peer's pop reads this line, and a needless store invalidates it.
     void publish_private_min() KPS_REQUIRES(private_lock) {
-      private_min.store(store_min(), std::memory_order_release);
+      const double m = store_min();
+      // order: relaxed — every store to private_min happens under
+      // private_lock, which this thread holds, so this reads the latest.
+      if (private_min.load(std::memory_order_relaxed) != m) {
+        private_min.store(m, std::memory_order_release);
+      }
     }
   };
 
@@ -204,7 +219,35 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     return out;
   }
 
+  /// Pop, in one hold of the place's own lock: drain the inbox, then
+  /// claim the best task in reach — a peer's through spy() when its
+  /// advert beats the own best, else the own best.  An own tombstone is
+  /// reaped and the sweep re-runs against the next own best.
+  std::optional<TaskT> pop(Place& p) {
+    p.private_lock.lock();
+    drain_inbox(p, p);
+    bool saw_foreign = false;
+    std::optional<TaskT> out;
+    while (!out) {
+      if (this->cfg_.enable_spying) {
+        out = spy(p, saw_foreign);
+        if (out) break;
+      }
+      if (p.store_min() == kEmptyMin) break;
+      out = claim_top(p, p);
+    }
+    p.private_lock.unlock();
+    if (out) return this->deliver(p, std::move(*out));
+    // Classification: "contended" if a peer advertised a better task that
+    // this pop could not claim while its own store held nothing live;
+    // "empty" if no advert beat the empty own store.
+    p.counters->inc(saw_foreign ? Counter::pop_contended : Counter::pop_empty);
+    return std::nullopt;
+  }
+
  private:
+  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+
   /// Accepted push: private heap as usual; at the publish threshold (or
   /// immediately at k <= 0) the private heap is flushed as one ascending
   /// run and mailed out in publish_batch-sized segments.
@@ -284,11 +327,11 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// CAS-min the target's advisory inbox minimum after a commit.
   static void note_inbox_min(Place& target, double best) {
     // order: relaxed — advisory minimum only; the ring commit's release
-    // store already published the run, this just tunes the redirect hint.
+    // store already published the run, this just steers spies.
     double cur = target.inbox_min.load(std::memory_order_relaxed);
     while (best < cur &&
            // order: relaxed — same advisory-minimum argument; a lost CAS
-           // reloads and retries, a stale win misroutes one redirect.
+           // reloads and retries, a stale win costs one wasted try_lock.
            !target.inbox_min.compare_exchange_weak(
                cur, best, std::memory_order_relaxed)) {
     }
@@ -310,7 +353,6 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
       p.counters->inc(Counter::inbox_appends);
       detail::trace_ev(p, TraceEv::inbox_append,
                        static_cast<std::uint64_t>(target.index));
-      refresh_global_pub_min();
       return;
     }
     p.counters->inc(Counter::inbox_full_fallbacks);
@@ -319,143 +361,43 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     p.private_lock.lock();
     ingest_run(p, std::move(run));
     p.counters->inc(Counter::segment_merges);
-    maybe_spill_segments(p);
+    maybe_spill_segments(p, p);
     p.publish_private_min();
     p.private_lock.unlock();
-    refresh_global_pub_min();
   }
 
-  /// Owner fold: drain every pending inbox entry into this place's own
-  /// segment store, flat-combining style.  Bounded to one ring's worth
-  /// of entries per pass so a pop's latency stays bounded even while
-  /// producers keep appending.
-  void fold_inbox(Place& p) {
-    if (!p.inbox.maybe_nonempty()) return;
+  /// Drain `owner`'s pending inbox entries into `owner`'s segment store
+  /// on behalf of popping place `p`, which holds owner's lock: the
+  /// owner's own fold, or a spy's drain of its victim.  The lock makes
+  /// the drainer the ring's one consumer at a time.  Bounded to one
+  /// ring's worth per pass, so a pop's latency stays bounded even while
+  /// producers keep appending.  `p` takes the counts, and the buffers a
+  /// spill empties.
+  void drain_inbox(Place& owner, Place& p) KPS_REQUIRES(owner.private_lock) {
+    if (!owner.inbox.maybe_nonempty()) return;
     // Reset the advisory minimum BEFORE draining: appends landing mid-
-    // fold re-advertise themselves; entries we drain are re-advertised
+    // drain re-advertise themselves; drained entries are re-advertised
     // via private_min below.  A racing CAS-min from an already-drained
-    // entry leaves a stale-low hint — one wasted redirect, never a lost
+    // entry leaves a stale-low hint — one wasted try_lock, never a lost
     // task.
     // order: relaxed — advisory minimum, see note_inbox_min.
-    p.inbox_min.store(kEmptyMin, std::memory_order_relaxed);
+    owner.inbox_min.store(kEmptyMin, std::memory_order_relaxed);
+    // Seam: stretch the drain critical section (owner's lock held, and a
+    // spy's own lock too) so racing pops pile up on both places.
+    KPS_FAILPOINT("hybrid.inbox.fold");
     std::vector<Entry> run;
     std::size_t folded = 0;
-    const std::size_t limit = p.inbox.capacity();
-    p.private_lock.lock();
-    // Seam: stretch the fold critical section (private_lock held) so
-    // racing spies pile up on the owner during the fold.
-    KPS_FAILPOINT("hybrid.inbox.fold");
-    while (folded < limit && p.inbox.try_pop(run)) {
-      ingest_run(p, std::move(run));
-      p.counters->inc(Counter::segment_merges);
+    const std::size_t limit = owner.inbox.capacity();
+    while (folded < limit && owner.inbox.try_pop(run)) {
+      ingest_run(owner, std::move(run));
       ++folded;
     }
-    if (folded > 0) {
-      maybe_spill_segments(p);
-      p.publish_private_min();
-    }
-    p.private_lock.unlock();
-    if (folded > 0) {
-      p.counters->inc(Counter::inbox_folds);
-      detail::trace_ev(p, TraceEv::inbox_fold,
-                       static_cast<std::uint64_t>(folded));
-      refresh_global_pub_min();
-    }
-  }
-
- public:
-  /// Pop: fold the inbox, claim the own best bounded by the advertised
-  /// foreign best (spy redirect), fall back to draining own work when
-  /// the redirect races away.
-  std::optional<TaskT> pop(Place& p) {
-    fold_inbox(p);
-    bool redirected = false;
-    p.private_lock.lock();
-    for (;;) {
-      const double mine = p.store_min();
-      if (mine == kEmptyMin) break;
-      if (global_pub_min_.load(std::memory_order_acquire) < mine) {
-        // The hint claims a better advert somewhere.  Verify against the
-        // live foreign adverts — our own claims make the shared cache go
-        // stale-low, and only a confirmed foreign reading is worth the
-        // spy detour.
-        const double foreign = best_advert(p.index);
-        if (foreign < mine) {
-          redirected = true;
-          break;
-        }
-        // Quiet the stale hint.  The store deliberately excludes our own
-        // advert so our next claims do not re-trigger the O(P) verify;
-        // events (publish, fold, spy miss) restore the full sweep.
-        global_pub_min_.store(foreign, std::memory_order_release);
-      }
-      Entry e = claim_best(p, p);
-      p.publish_private_min();
-      if (this->ledger_.claim_popped(e, p.index)) {
-        p.private_lock.unlock();
-        return this->deliver(p, std::move(e.task));
-      }
-      this->reaped(p);
-    }
-    p.private_lock.unlock();
-    // The loop ends with own tasks left only on a confirmed redirect, so
-    // a redirect both counts as seen work and leaves a drain obligation.
-    bool saw_tasks = redirected;
-
-    // Spy: the one cross-place pull, from the victim's whole
-    // owner-folded store under the victim's private lock.
-    if (this->cfg_.enable_spying) {
-      if (auto out = spy(p, saw_tasks)) {
-        return this->deliver(p, std::move(*out));
-      }
-    }
-
-    // The redirect raced away (or spying is off): our own tasks remain
-    // this storage's obligation — drain unconditionally.
-    if (redirected) {
-      p.private_lock.lock();
-      std::optional<TaskT> out = claim_live(p, p);
-      p.private_lock.unlock();
-      if (out) return this->deliver(p, std::move(*out));
-    }
-
-    // Classification: "contended" if any tier advertised tasks this place
-    // failed to claim (a confirmed redirect, a lost spy try_lock,
-    // tombstone-only sweeps); "empty" if every tier looked drained.
-    p.counters->inc(saw_tasks ? Counter::pop_contended : Counter::pop_empty);
-    return std::nullopt;
-  }
-
- private:
-  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  /// Re-sweep the advertised minima into the cached global minimum.  The
-  /// "published tier" is the union of advertised owner-folded stores and
-  /// unfolded inbox entries.  Called after every published-tier event
-  /// (mail, fold, spy) — the cold 1/k of operations — so the owner fast
-  /// path stays O(1).  The cache is a hint: a stale value momentarily
-  /// misroutes a pop (slightly higher realized rank error or one spy
-  /// detour), never loses a task.
-  void refresh_global_pub_min() {
-    global_pub_min_.store(best_advert(kNone), std::memory_order_release);
-  }
-
-  /// Best live advert (owner-folded store or unfolded inbox) of any place
-  /// other than `skip` (kNone: every place).  With skip = the popping
-  /// place it is the redirect verification: the shared cache can be
-  /// stale from that place's own claims, so a redirect is only taken
-  /// against a live foreign reading.
-  double best_advert(std::size_t skip) const {
-    double best = kEmptyMin;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
-      if (i == skip) continue;
-      const double pm = places_[i].private_min.load(std::memory_order_acquire);
-      if (pm < best) best = pm;
-      const double im = places_[i].inbox_min.load(std::memory_order_acquire);
-      if (im < best) best = im;
-    }
-    return best;
+    maybe_spill_segments(owner, p);
+    owner.publish_private_min();
+    p.counters->inc(Counter::segment_merges, folded);
+    p.counters->inc(Counter::inbox_folds);
+    detail::trace_ev(p, TraceEv::inbox_fold,
+                     static_cast<std::uint64_t>(folded));
   }
 
   /// Return a run buffer's capacity to the pool of `p`, the place whose
@@ -473,7 +415,7 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// Fold one mailed run into the owner's segment store — the vector
   /// moves in whole (an inbox entry IS a segment), O(log S) against the
   /// head index.  Free and fresh slots hold no buffer, so there is no
-  /// capacity to hand back; buffers return to the pool only once their
+  /// capacity to hand back; buffers return to a pool only once their
   /// segment is exhausted or spilled.
   void ingest_run(Place& p, std::vector<Entry>&& run)
       KPS_REQUIRES(p.private_lock) {
@@ -492,38 +434,40 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     p.seg_index.push({static_cast<double>(s.run.front().task.priority), slot});
   }
 
-  /// Segment-spill policy (counter: segment_spills): very small k floods
-  /// a store with short runs faster than pops retire them, and every live
-  /// segment adds a seg_index entry that folds and pops must sift past.
-  /// Once the live-segment count exceeds kMaxSegments, keep only the
-  /// hottest half (smallest head priorities) as streaming segments and
-  /// fold every colder segment's remaining tasks into the COLD heap —
-  /// never back into the private heap, which is the republish source
-  /// (cold tasks must not ping-pong through the mail forever).  Tasks
-  /// only move between containers of the same store under private_lock,
-  /// so relaxation bounds and the advertised minimum are untouched.
-  /// Caller refreshes the minima.
-  void maybe_spill_segments(Place& p) KPS_REQUIRES(p.private_lock) {
-    if (p.seg_index.size() <= kMaxSegments) return;
+  /// Segment-spill policy (counter: segment_spills, on `p`): very small k
+  /// floods a store with short runs faster than pops retire them, and
+  /// every live segment adds a seg_index entry that folds and pops must
+  /// sift past.  Once `owner`'s live-segment count exceeds kMaxSegments,
+  /// keep only the hottest half (smallest head priorities) as streaming
+  /// segments and fold every colder segment's remaining tasks into the
+  /// COLD heap — never back into the private heap, which is the
+  /// republish source (cold tasks must not ping-pong through the mail
+  /// forever).  Tasks only move between containers of the same store
+  /// under its private_lock, so relaxation bounds and the advertised
+  /// minimum are untouched.  Emptied buffers go to `p`, the place whose
+  /// thread spills.  Caller refreshes the minima.
+  void maybe_spill_segments(Place& owner, Place& p)
+      KPS_REQUIRES(owner.private_lock) {
+    if (owner.seg_index.size() <= kMaxSegments) return;
     // Seam: stretch the spill critical section (private_lock held) so
     // racing spies pile up during the fold.
     KPS_FAILPOINT("hybrid.spill");
-    auto& heads = p.spill_buf;
+    auto& heads = owner.spill_buf;
     heads.clear();
-    while (!p.seg_index.empty()) {
-      heads.push_back(p.seg_index.pop());  // ascending head priority
+    while (!owner.seg_index.empty()) {
+      heads.push_back(owner.seg_index.pop());  // ascending head priority
     }
     const std::size_t keep = kMaxSegments / 2;
-    for (std::size_t i = 0; i < keep; ++i) p.seg_index.push(heads[i]);
+    for (std::size_t i = 0; i < keep; ++i) owner.seg_index.push(heads[i]);
     for (std::size_t i = keep; i < heads.size(); ++i) {
-      Segment& s = p.segments[heads[i].seg];
+      Segment& s = owner.segments[heads[i].seg];
       for (std::size_t j = s.head; j < s.run.size(); ++j) {
-        p.cold_heap.push(std::move(s.run[j]));
+        owner.cold_heap.push(std::move(s.run[j]));
       }
       recycle_run(p, std::move(s.run));
       s.run = std::vector<Entry>();
       s.head = 0;
-      p.segment_free.push_back(heads[i].seg);
+      owner.segment_free.push_back(heads[i].seg);
     }
     p.counters->inc(Counter::segment_spills);
   }
@@ -558,54 +502,61 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
     return owner.cold_heap.pop();
   }
 
-  /// Claim the best live task of `owner`'s store on behalf of popping
-  /// place `p` (whose counters take the reap credit).  Tombstones that
-  /// surface first are reaped in place until a live task or an empty
-  /// store stops the loop.
-  std::optional<TaskT> claim_live(Place& owner, Place& p)
+  /// Claim the best entry of `owner`'s non-empty store for popping place
+  /// `p` and re-advertise the store: the task if it was live, nullopt
+  /// once `p` has reaped it as a tombstone.
+  std::optional<TaskT> claim_top(Place& owner, Place& p)
       KPS_REQUIRES(owner.private_lock) {
-    while (owner.store_min() != kEmptyMin) {
-      Entry e = claim_best(owner, p);
-      owner.publish_private_min();
-      if (this->ledger_.claim_popped(e, p.index)) return std::move(e.task);
-      this->reaped(p);
-    }
+    Entry e = claim_best(owner, p);
+    owner.publish_private_min();
+    if (this->ledger_.claim_popped(e, p.index)) return std::move(e.task);
+    this->reaped(p);
     return std::nullopt;
   }
 
-  std::optional<TaskT> spy(Place& p, bool& saw_tasks) {
-    if (KPS_FAILPOINT_FAIL("hybrid.spy")) return std::nullopt;
-    // Pick the victim advertising the best private task; never spin on a
-    // victim's lock — its owner is on the hot path.
-    double best = kEmptyMin;
-    std::size_t idx = kNone;
-    for (std::size_t i = 0; i < places_.size(); ++i) {
-      if (i == p.index) continue;
-      const double m = places_[i].private_min.load(std::memory_order_acquire);
-      if (m < best) {
-        best = m;
-        idx = i;
+  /// The one cross-place claim, made under `p`'s own lock: read each
+  /// peer's advert once and, when the best beats p's own best, try_lock
+  /// that victim, drain its inbox, and claim its best live task while
+  /// that still beats p's (reaping tombstones on the way).  nullopt
+  /// leaves p to claim its own best in the same hold: no advert beat it,
+  /// the try_lock lost, or the drained victim held nothing better.
+  /// `saw_foreign` records that some advert beat p's best.
+  std::optional<TaskT> spy(Place& p, bool& saw_foreign)
+      KPS_REQUIRES(p.private_lock) {
+    const double mine = p.store_min();
+    double best = mine;
+    Place* pick = nullptr;
+    for (Place& q : places_) {
+      if (&q == &p) continue;
+      // order: relaxed — adverts are hints that only pick the victim;
+      // its try_lock is the acquire that orders the claim's reads.
+      const double pm = q.private_min.load(std::memory_order_relaxed);
+      // order: relaxed — same hint argument.
+      const double im = q.inbox_min.load(std::memory_order_relaxed);
+      if (std::min(pm, im) < best) {
+        best = std::min(pm, im);
+        pick = &q;
       }
     }
-    if (idx == kNone) return std::nullopt;
-    saw_tasks = true;
-    Place& victim = places_[idx];
+    if (pick == nullptr) return std::nullopt;
+    saw_foreign = true;
+    if (KPS_FAILPOINT_FAIL("hybrid.spy")) return std::nullopt;
+    Place& victim = *pick;
     if (!victim.private_lock.try_lock()) return std::nullopt;
-    std::optional<TaskT> out = claim_live(victim, p);
+    drain_inbox(victim, p);
+    std::optional<TaskT> out;
+    while (!out && victim.store_min() < mine) out = claim_top(victim, p);
     victim.private_lock.unlock();
-    // Spying is already the slow path; a refresh here retires stale
-    // hints (the victim we just probed may have drained).
-    refresh_global_pub_min();
     if (out) {
       p.counters->inc(Counter::spied_items);
       // Spy records on the SPY'S own ring (SPSC: one writer per ring);
       // the victim's id rides in arg.
-      detail::trace_ev(p, TraceEv::spy, static_cast<std::uint32_t>(idx));
+      detail::trace_ev(p, TraceEv::spy,
+                       static_cast<std::uint32_t>(victim.index));
     }
     return out;
   }
 
-  alignas(kCacheLine) std::atomic<double> global_pub_min_{kEmptyMin};
   std::vector<Place> places_;
 };
 

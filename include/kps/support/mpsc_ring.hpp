@@ -2,9 +2,12 @@
 // inbox delegation (PR 10, ROADMAP item 3).
 //
 // Multiple producers append batch descriptors (for the hybrid: one
-// pre-sorted run per slot), a single consumer — the owning place — folds
-// them.  The shape is the classic bounded sequence-number ring restricted
-// to one consumer:
+// pre-sorted run per slot); one consumer at a time takes them.  The
+// consumer side is not thread-safe on its own: callers serialize it (the
+// hybrid drains a place's ring only under that place's private_lock, from
+// the owner's pop or a spy), and that serialization is what orders one
+// consumer's cursor writes before the next one's reads.  The shape is the
+// classic bounded sequence-number ring restricted to one consumer:
 //
 //   reserve — a producer claims slot `pos` by CASing the head cursor
 //             forward, but only after the slot's sequence number says the
@@ -13,9 +16,9 @@
 //   commit  — the producer move-assigns the payload and release-stores
 //             seq = pos + 1.  That store is the publication point: the
 //             consumer's acquire load of seq orders the payload read.
-//   consume — the single consumer reads seq == pos + 1, moves the payload
-//             out, and release-stores seq = pos + capacity, freeing the
-//             slot for the next lap.
+//   consume — the consumer reads seq == pos + 1, moves the payload out,
+//             and release-stores seq = pos + capacity, freeing the slot
+//             for the next lap.
 //
 // Full ring: a producer that finds seq < pos (the slot still holds an
 // unconsumed entry from the previous lap) reports failure WITHOUT
@@ -106,11 +109,13 @@ class MpscRing {
     }
   }
 
-  /// Single-consumer take.  False = no committed entry at the tail (an
-  /// entry mid-commit by a reserved-but-unfinished producer reads as
-  /// empty until its release store lands — it is not yet published).
+  /// Consumer take; callers serialize consumers.  False = no committed
+  /// entry at the tail (an entry mid-commit by a reserved-but-unfinished
+  /// producer reads as empty until its release store lands — it is not
+  /// yet published).
   bool try_pop(T& out) {
-    // order: relaxed — tail is consumer-owned; only this thread moves it.
+    // order: relaxed — tail moves only under the callers' consumer
+    // serialization, whose acquire/release orders it between consumers.
     const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     Slot& s = slots_[pos & mask_];
     const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
@@ -121,19 +126,19 @@ class MpscRing {
     out = std::move(s.val);
     // Free the slot for the next lap (pairs with try_push's acquire).
     s.seq.store(pos + cap_, std::memory_order_release);
-    // order: relaxed — consumer-owned cursor; approx_size readers accept
-    // staleness by contract.
+    // order: relaxed — consumer-serialized cursor; approx_size readers
+    // accept staleness by contract.
     tail_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Consumer-side cheap peek: one acquire load of the tail slot's
-  /// sequence word.  True may race a concurrent consume only from the
-  /// consumer itself (single-consumer contract), so a true here means
-  /// try_pop will succeed; false may miss an entry mid-commit (callers
-  /// treat it as a hint to skip the fold pass).
+  /// Cheap peek: one acquire load of the tail slot's sequence word.  For
+  /// the current consumer (a caller inside the consumer serialization) a
+  /// true means try_pop will succeed; false may miss an entry mid-commit
+  /// (callers treat it as a hint to skip the drain).  For a caller that
+  /// does not hold the consumer side it is only a hint either way.
   bool maybe_nonempty() const {
-    // order: relaxed — consumer-owned cursor, see try_pop.
+    // order: relaxed — consumer-serialized cursor, see try_pop.
     const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     return slots_[pos & mask_].seq.load(std::memory_order_acquire) == pos + 1;
   }

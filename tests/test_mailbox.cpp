@@ -6,17 +6,24 @@
 //     caller's value untouched, maybe_nonempty/approx_size contracts.
 //   * MpscRing concurrency: P producers blast one consumer's ring with
 //     the full-ring fallback live; every value arrives exactly once
-//     (the CI tsan job runs this under TSan).
+//     (the CI tsan job runs this under TSan).  A variant has two
+//     consumers take turns under one Spinlock, the hybrid's shape (the
+//     owner's pop and a spy drain one inbox under one private_lock).
 //   * Mailbox fold unit: P = 1 self-mailing at publish_batch = 2 pushes
 //     past kMaxSegments live segments, so the owner-folded store must
 //     merge + spill and still pop in exact global order.
 //   * Full-ring accounting: the kInboxSlots-run inbox under a one-sided
 //     flood must take the self-fold fallback (inbox_full_fallbacks),
 //     conserve every task, and bank only buffers that carry capacity.
+//   * Cross-place claims at P = 2, driven from one thread: a task mailed
+//     to a peer that never pops is claimable by the mailer's own pop (its
+//     spy drains the peer's inbox); a peer's better folded task wins the
+//     pop, and a lost try_lock falls back to the own best in the same
+//     call; buffers a spy-side drain spills go to the spier's pool.
 //   * Conservation churn through the inbox path at P in {2, 4, 8}: a
 //     tight variant whose push-only phase overflows every ring, and the
-//     seams (hybrid.inbox.append / hybrid.inbox.fold) armed when
-//     failpoints are compiled in.
+//     seams (hybrid.inbox.append / hybrid.inbox.fold / hybrid.spy) armed
+//     when failpoints are compiled in.
 //   * Oracle exactness: SSSP and DES reproduce their sequential oracles
 //     with the mailbox hybrid at P in {1, 4, 8}, including a DES whose
 //     seeding alone overflows every ring; the published-tier round trip
@@ -43,6 +50,7 @@
 #include "support/failpoint.hpp"
 #include "support/mpsc_ring.hpp"
 #include "support/rng.hpp"
+#include "support/spinlock.hpp"
 #include "workloads/des.hpp"
 
 namespace {
@@ -149,6 +157,65 @@ void test_ring_concurrent() {
     assert(seen_count[i] == 1 && "ring lost or duplicated a value");
   }
   std::printf("  ring concurrent: %zu producers x %u values, exactly-once\n",
+              kProducers, kPerProducer);
+}
+
+// One consumer at a time, not one consumer thread: two consumers take
+// turns on the ring under one Spinlock while producers append.  The lock
+// is what orders one consumer's tail cursor before the other's reads.
+void test_ring_serialized_consumers() {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint32_t kPerProducer = 4000;
+  MpscRing<std::uint32_t> ring;
+  ring.init(16);
+  Spinlock consumer_lock;
+  std::atomic<std::size_t> producers_done{0};
+  // Written only under consumer_lock.
+  std::vector<std::uint32_t> seen_count(kProducers * kPerProducer, 0);
+
+  auto consumer = [&] {
+    std::uint32_t v = 0;
+    for (;;) {
+      // Read before the drain: once every producer is done, a drain that
+      // finds nothing means the ring is empty for good.
+      const bool done =
+          producers_done.load(std::memory_order_acquire) == kProducers;
+      int got = 0;
+      consumer_lock.lock();
+      while (got < 3 && ring.try_pop(v)) {  // short turns: interleave
+        ++seen_count[v];
+        ++got;
+      }
+      consumer_lock.unlock();
+      if (got == 0) {
+        if (done) return;
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::thread c0(consumer), c1(consumer);
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (std::size_t t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < kPerProducer; ++i) {
+        std::uint32_t v =
+            static_cast<std::uint32_t>(t) * kPerProducer + i;
+        while (!ring.try_push(std::move(v))) std::this_thread::yield();
+      }
+      producers_done.fetch_add(1, std::memory_order_acq_rel);
+    });
+  }
+  for (auto& p : producers) p.join();
+  c0.join();
+  c1.join();
+
+  for (std::size_t i = 0; i < seen_count.size(); ++i) {
+    assert(seen_count[i] == 1 && "serialized consumers lost or "
+                                 "duplicated a value");
+  }
+  std::printf("  ring serialized consumers: 2 consumers under one lock, "
+              "%zu producers x %u values, exactly-once\n",
               kProducers, kPerProducer);
 }
 
@@ -296,14 +363,163 @@ void test_full_ring_fallback() {
               pooled);
 }
 
+// ------------------------------------------------ cross-place claims
+// P = 2, every place driven from this one thread.  With P = 2 each
+// publish mails to the other place, so the tests below choose exactly
+// which store and which inbox hold what.
+
+/// Every payload in [0, n) came back exactly once.
+void assert_conserved(std::vector<std::uint32_t> got, std::uint32_t n) {
+  std::sort(got.begin(), got.end());
+  assert(got.size() == n);
+  for (std::uint32_t i = 0; i < n; ++i) assert(got[i] == i);
+}
+
+// Place 1 pushes k tasks, so its publish mails them all into place 0's
+// inbox; place 0 never pops.  Place 1's next pop finds place 0's inbox
+// advert best, drains that inbox as a spy and returns the best task.
+void test_mail_claimable_by_spy() {
+  StorageConfig cfg;
+  cfg.k_max = 4;
+  cfg.default_k = 4;
+  StatsRegistry stats(2);
+  HybridKpq<SsspTask> storage(2, cfg, &stats);
+
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    kps::push(storage, storage.place(1), 4,
+              {static_cast<double>(4 - i), i});
+  }
+  assert(stats.total().get(Counter::inbox_appends) == 1);
+
+  const std::optional<SsspTask> t = storage.pop(storage.place(1));
+  assert(t && t->priority == 1.0 && t->payload == 3);
+  const PlaceStats spier = stats.snapshot(1);
+  assert(spier.get(Counter::spied_items) == 1);
+  assert(spier.get(Counter::inbox_folds) == 1);  // the spy-side drain
+  assert(spier.get(Counter::pop_failures) == 0);
+
+  std::vector<std::uint32_t> got{t->payload};
+  while (auto more = storage.pop(storage.place(1))) {  // spies the rest
+    got.push_back(more->payload);
+  }
+  assert(stats.snapshot(0).get(Counter::tasks_executed) == 0);
+  assert_conserved(got, 4);
+  std::printf("  mailed task claimed by the mailer's spy before the "
+              "target ever popped\n");
+}
+
+// Place 0's folded store holds better tasks than place 1's private
+// heap: place 1's pop returns place 0's best.  While place 0's lock is
+// held (here by this thread, standing in for a busy owner), place 1's
+// pop loses the try_lock and returns its own best in the same call.
+void test_redirect() {
+  StorageConfig cfg;
+  cfg.k_max = 4;
+  cfg.default_k = 4;
+  StatsRegistry stats(2);
+  HybridKpq<SsspTask> storage(2, cfg, &stats);
+  auto& p0 = storage.place(0);
+  auto& p1 = storage.place(1);
+
+  // Priorities 1..4 mailed to place 0, whose pop folds them and claims 1.
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    kps::push(storage, p1, 4, {static_cast<double>(i + 1), i});
+  }
+  std::optional<SsspTask> t = storage.pop(p0);
+  assert(t && t->priority == 1.0);
+  std::vector<std::uint32_t> got{t->payload};
+  // Three worse tasks stay in place 1's private heap (fewer than k).
+  for (std::uint32_t i = 4; i < 7; ++i) {
+    kps::push(storage, p1, 4, {static_cast<double>(i + 6), i});
+  }
+
+  t = storage.pop(p1);
+  assert(t && t->priority == 2.0);  // place 0's best beat place 1's 10
+  got.push_back(t->payload);
+  assert(stats.snapshot(1).get(Counter::spied_items) == 1);
+
+  const std::uint64_t contended = stats.total().get(Counter::pop_contended);
+  p0.private_lock.lock();
+  t = storage.pop(p1);
+  p0.private_lock.unlock();
+  assert(t && t->priority == 10.0);  // own best, in the same call
+  got.push_back(t->payload);
+  assert(stats.total().get(Counter::pop_contended) == contended);
+  assert(stats.snapshot(1).get(Counter::spied_items) == 1);
+
+  drain_all(storage, got);
+  assert_conserved(got, 7);
+  std::printf("  redirect: peer's better task wins the pop; a lost "
+              "try_lock claims the own best in the same call\n");
+}
+
+// Buffer ownership under spy-side drains.  k = 8, publish_batch 2: a
+// publish mails four two-task runs.  Place 1 pushes ascending
+// priorities, so the first kInboxSlots runs fill place 0's inbox and
+// the rest fall back into place 1's own store, behind them.  Place 1's
+// first pop spies and drains kInboxSlots runs into place 0's store; a
+// second batch of mail and a second spy take place 0's store past
+// kMaxSegments, so the spy-side drain spills.  Every buffer that drain
+// spills (and every segment a spy exhausts) belongs to place 1's pool:
+// place 0's run_pool is its owner's alone and must not grow.
+void test_spy_drain_spills_into_spier_pool() {
+  using Hybrid = HybridKpq<SsspTask>;
+  StorageConfig cfg;
+  cfg.k_max = 8;
+  cfg.default_k = 8;
+  cfg.publish_batch = 2;
+  StatsRegistry stats(2);
+  Hybrid storage(2, cfg, &stats);
+  auto& p0 = storage.place(0);
+  auto& p1 = storage.place(1);
+
+  std::uint32_t id = 0;
+  auto push_batch = [&](std::uint32_t n) {
+    for (std::uint32_t end = id + n; id < end; ++id) {
+      kps::push(storage, p1, 8, {static_cast<double>(id + 1), id});
+    }
+  };
+  const auto runs = static_cast<std::uint32_t>(Hybrid::kInboxSlots);
+  push_batch(4 * runs);  // 2 · kInboxSlots runs: half mailed, half kept
+  assert(stats.total().get(Counter::inbox_appends) == Hybrid::kInboxSlots);
+  assert(p0.inbox.approx_size() == Hybrid::kInboxSlots);
+
+  std::optional<SsspTask> t = storage.pop(p1);
+  assert(t && t->payload == 0);
+  assert(p0.inbox.approx_size() == 0);  // the spy drained all of it
+  std::vector<std::uint32_t> got{t->payload};
+
+  push_batch(32);  // 16 more runs into place 0's inbox
+  t = storage.pop(p1);
+  assert(t && t->payload == 1);
+  got.push_back(t->payload);
+  const PlaceStats spier = stats.snapshot(1);
+  assert(spier.get(Counter::spied_items) == 2);
+  assert(spier.get(Counter::segment_spills) >= 1);  // the spy-side spill
+  assert(stats.snapshot(0).get(Counter::segment_spills) == 0);
+  // Place 0's thread never ran, so nothing may have entered its pool.
+  assert(p0.run_pool.empty());
+  assert(!p1.run_pool.empty());
+  assert_pooled_buffers_hold_capacity(storage);
+
+  drain_all(storage, got);
+  assert_conserved(got, id);
+  std::printf("  spy-side drain: %llu spills, spilled buffers in the "
+              "spier's pool (%zu), victim's pool untouched\n",
+              static_cast<unsigned long long>(
+                  spier.get(Counter::segment_spills)),
+              p1.run_pool.size());
+}
+
 // ------------------------------------------------- conservation churn
 // Concurrent pushers/poppers through the inbox path; admitted ==
 // departed as multisets.  The tight variant first runs a push-only
 // phase at k = 1, publish_batch 1: every push mails a one-task run and
 // no place pops (so none folds) until all have pushed, so every ring
 // takes kInboxSlots runs and the rest fall back.  With failpoints
-// compiled in, the mailbox seams are armed so the fallback and the
-// fold-stall interleavings get real coverage (the CI tsan/stress jobs
+// compiled in, the mailbox seams are armed so the fallback, the
+// drain-stall (a spy-side drain stalls under two held locks) and the
+// failed-spy interleavings get real coverage (the CI tsan/stress jobs
 // run this suite under TSan).
 
 void churn_one(std::size_t P, bool tight, bool arm_seams) {
@@ -311,6 +527,7 @@ void churn_one(std::size_t P, bool tight, bool arm_seams) {
     const std::string err = fp::apply_spec(
         "hybrid.inbox.append=fail:p=0.3,"
         "hybrid.inbox.fold=delay:iters=48:p=0.3,"
+        "hybrid.spy=fail:p=0.3,"
         "hybrid.publish.flush=yield:p=0.2");
     assert(err.empty());
   }
@@ -524,8 +741,12 @@ void test_lifecycle_in_transit() {
 int main() {
   test_ring_unit();
   test_ring_concurrent();
+  test_ring_serialized_consumers();
   test_mailbox_fold_unit();
   test_full_ring_fallback();
+  test_mail_claimable_by_spy();
+  test_redirect();
+  test_spy_drain_spills_into_spier_pool();
   test_lifecycle_in_transit();
   test_oracles();
   test_churn_conserves();
