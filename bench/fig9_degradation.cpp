@@ -58,8 +58,7 @@ struct SeamSet {
 const std::vector<SeamSet> kSeamSets = {
     {"global_pq", {}, {"global.push.lock", "global.pop.lock"}},
     {"centralized",
-     {"central.push.slot_cas", "central.pop.claim_cas", "minindex.note_min",
-      "epoch.advance"},
+     {"central.push.slot_cas", "central.pop.claim_cas", "minindex.note_min"},
      {"central.push.overflow", "central.pop.overflow",
       "central.heal.clear_bit"}},
     {"hybrid", {"hybrid.publish.attempt", "hybrid.inbox.append", "hybrid.spy"},

@@ -2,14 +2,24 @@
 // a lock-free global slot array (the k-relaxation window) backed by a
 // strict overflow heap.
 //
-//   push — publish a heap-allocated task node into a free window slot with
-//          one CAS.  Randomized placement spreads concurrent pushers across
+//   push — take a free window slot with one CAS and write the task into
+//          it.  Randomized placement spreads concurrent pushers across
 //          the window (ablation A3 measures the linear-scan alternative);
 //          if the window is full the task overflows into the locked heap.
-//   pop  — scan the window for the best published node, compare against
-//          the overflow heap's cached minimum, and claim the winner with
-//          one CAS.  A claimed node is retired through the epoch domain,
-//          because concurrent scanners may still be dereferencing it.
+//   pop  — scan the window for the best full slot, compare against the
+//          overflow heap's cached minimum, and claim the winner with one
+//          CAS.
+//
+// Slot protocol: each slot keeps its entry inline, next to an atomic
+// state word (version << 2) | {empty, filling, full, claiming} and an
+// atomic copy of the entry's priority (the key).  A push CASes
+// empty → filling, writes entry and key, and release-stores full; a pop
+// CASes full → claiming on the word its scan read, moves the entry out
+// and release-stores empty under the next version.  Scanners read only
+// the word and the key, an entry is read only by the one pop that
+// claimed it, and a slot emptied and refilled since a scan carries a new
+// version, so that scan's claim CAS fails.  Nothing is ever freed under
+// a reader, so nothing needs reclaiming.
 //
 // Occupancy summary: one 64-bit word per 64 slots mirrors which slots are
 // occupied, so a full scan costs O(k/64) word loads plus one slot load
@@ -17,11 +27,12 @@
 // large-k cliff.  The bitmap is a hint maintained so that, at
 // quiescence, bit set ⊇ slot occupied:
 //
-//   * a pusher sets the bit only AFTER its slot CAS succeeds, so a set
-//     bit reliably leads scanners to a (possibly just-claimed) node;
+//   * a pusher sets the bit only AFTER its slot is full, so a set bit
+//     reliably leads scanners to a (possibly just-claimed) entry;
 //   * a claimer clears the bit after emptying the slot, then re-reads the
-//     slot and re-sets the bit if a racing pusher refilled it in between
-//     (the clear/set race would otherwise hide a live task forever);
+//     slot and re-sets the bit if it is no longer empty (a racing pusher
+//     refilled it in between; the clear/set race would otherwise hide a
+//     live task forever);
 //   * a scanner that finds a set bit over an empty slot applies the same
 //     healed clear lazily, so a heal re-set that itself lost a race with
 //     a second claimer cannot strand window capacity behind a stale bit;
@@ -44,9 +55,9 @@
 // bypassed.  Counters: tree_descents, min_heals.
 //
 // Lifecycle (PR 7): window slots and the overflow heap hold LcEntry
-// nodes; a cancelled entry stays published as a tombstone until a pop's
-// claim CAS surfaces it, at which point it is reaped through exactly the
-// claim/retire path a live task takes (a tombstone claim resets the
+// entries; a cancelled entry stays published as a tombstone until a
+// pop's claim CAS surfaces it, at which point it is reaped through
+// exactly the claim path a live task takes (a tombstone claim resets the
 // attempt budget — a reap is progress, not a failed pop).  A window-full
 // push moves the ALREADY-WRAPPED entry into the overflow heap, so the
 // handle issued at wrap time stays redeemable across the tier change.
@@ -61,7 +72,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -69,7 +79,6 @@
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
-#include "support/epoch.hpp"
 #include "support/failpoint.hpp"
 #include "support/min_index.hpp"
 #include "support/rng.hpp"
@@ -95,7 +104,6 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
 
   struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
-    EpochThread epoch;
     std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
   };
 
@@ -109,16 +117,7 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
     this->init_places(places_, stats);
     // order: relaxed — constructor runs single-threaded; publication of
     // the whole object happens-before any concurrent use.
-    for (auto& s : window_) s.store(nullptr, std::memory_order_relaxed);
-    // order: relaxed — same single-threaded construction argument.
     for (auto& w : summary_) w.store(0, std::memory_order_relaxed);
-    for (auto& p : places_) p.epoch = domain_.register_thread();
-  }
-
-  ~CentralizedKpq() {
-    // order: relaxed — destructor requires external quiescence (no
-    // concurrent pushers/poppers); nothing to synchronize with.
-    for (auto& s : window_) delete s.load(std::memory_order_relaxed);
   }
 
   std::size_t places() const { return places_.size(); }
@@ -147,72 +146,60 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
     // Every path below admits the task (window slot or overflow heap).
     this->admitted(p);
     const std::size_t window = window_size(k);
-    auto* node = new Entry(this->ledger_.wrap(std::move(task), &out.handle));
-    // No epoch pin here: push only loads slot pointers and CASes
-    // nullptr->node, never dereferencing a node another thread may have
-    // retired — only pop pays the pin fence.
+    Entry entry = this->ledger_.wrap(std::move(task), &out.handle);
     const std::size_t start =
         this->cfg_.randomize_placement ? p.rng.next_bounded(window) : 0;
-    if (push_summary_guided(p, window, start, node)) return out;
+    if (push_summary_guided(p, window, start, entry)) return out;
     // Window full: the task leaves the relaxed tier for the strict heap.
     // The wrapped entry moves tiers whole, keeping its handle redeemable.
     KPS_FAILPOINT("central.push.overflow");
     overflow_lock_.lock();
-    overflow_.push(std::move(*node));
+    overflow_.push(std::move(entry));
     publish_overflow_min();
     overflow_lock_.unlock();
-    delete node;  // never published, nobody can hold a reference
     return out;
   }
 
   std::optional<TaskT> pop(Place& p) {
-    EpochGuard guard(p.epoch);
-    // Seam: a place parked here is pinned — the epoch-reclamation stall
-    // test wedges one pop exactly like a preempted scanner.
-    KPS_FAILPOINT("central.pop.pinned");
     bool saw_empty = false;
     for (int attempt = 0; attempt < 3; ++attempt) {
-      // Best node of the apparently-minimal word.  The index and the
-      // fallback scan cover the whole slot array, not default_k: push
-      // honors the caller's per-op k, so any slot up to k_max may hold a
-      // task.
-      Entry* best = nullptr;
-      std::size_t best_idx = 0;
-      descend_best(p, &best, &best_idx);
+      // Best full slot of the apparently-minimal word.  The index and
+      // the fallback scan cover the whole slot array, not default_k:
+      // push honors the caller's per-op k, so any slot up to k_max may
+      // hold a task.
+      Pick best;
+      descend_best(p, &best);
       // Descents exhausted without a candidate: the tree may be
       // transiently stale-high (a raise re-check race hid a word), so
       // completeness falls back to the full occupancy scan.
-      if (!best) {
-        scan_summary(p, &best, &best_idx);
-        if (best) {
-          // Repair exactly the word the tree was hiding.
-          min_index_.note_min(best_idx / 64,
-                              static_cast<double>(best->task.priority));
-        }
+      if (best.idx == kNoSlot) {
+        scan_summary(p, &best);
+        // Repair exactly the word the tree was hiding.
+        if (best.idx != kNoSlot) min_index_.note_min(best.idx / 64, best.key);
       }
 
       const double heap_min =
           overflow_min_.load(std::memory_order_acquire);
-      if (!best && heap_min == kEmpty) {
+      if (best.idx == kNoSlot && heap_min == kEmpty) {
         saw_empty = true;
         break;
       }
 
-      if (!best ||
-          heap_min < static_cast<double>(best->task.priority)) {
+      if (best.idx == kNoSlot || heap_min < best.key) {
         KPS_POP_OVERFLOW_RACE_HOOK();
         KPS_FAILPOINT("central.pop.overflow");
         overflow_lock_.lock();
         // Re-check the pre-lock snapshot under the lock: a racing pop
         // may have drained the good prefix of the heap, and popping its
         // NEW top here would return a strictly worse task than the
-        // window node we already hold.  Take the heap only while it
+        // window slot we already picked.  Take the heap only while it
         // still beats `best` — reaping any tombstones that surface, each
         // of which re-exposes the next-best resident to the same check.
         std::optional<TaskT> taken;
         while (!overflow_.empty() &&
-               (!best ||
-                overflow_.top().task.priority < best->task.priority)) {
+               (best.idx == kNoSlot ||
+                static_cast<double>(overflow_.top().task.priority) <
+                    best.key)) {
           Entry e = overflow_.pop();
           if (this->ledger_.claim_popped(e, p.index)) {
             taken = std::move(e.task);
@@ -223,26 +210,29 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
         publish_overflow_min();
         overflow_lock_.unlock();
         if (taken) return this->deliver(p, std::move(*taken));
-        if (best) {
-          p.counters->inc(Counter::overflow_stale);
-        } else {
-          continue;
-        }
+        if (best.idx == kNoSlot) continue;
+        p.counters->inc(Counter::overflow_stale);
       }
 
-      Entry* expected = best;
+      Slot& slot = window_[best.idx];
+      std::uint64_t expected = best.word;
       // order: relaxed (failure) — a lost claim race reads nothing from
-      // the slot; success is acq_rel (acquire the node, release the hole).
+      // the slot; success is acq_rel (acquire the filler's entry, release
+      // the claiming state).  A slot emptied and refilled since the scan
+      // carries a new version, so this CAS fails.
       if (!KPS_FAILPOINT_FAIL("central.pop.claim_cas") &&
-          window_[best_idx].compare_exchange_strong(
-              expected, nullptr, std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
+          slot.word.compare_exchange_strong(
+              expected, (best.word & ~kStateMask) | kClaiming,
+              std::memory_order_acq_rel, std::memory_order_relaxed)) {
+        Entry e = std::move(slot.entry);
+        // The next version, empty: hands the entry storage to the next
+        // filler and fails every scan that read the old word.
+        slot.word.store((best.word & ~kStateMask) + kVersion,
+                        std::memory_order_release);
         std::optional<TaskT> out;
-        if (this->ledger_.claim_popped(*best, p.index)) out = best->task;
-        clear_bit_healed(best_idx);
-        heal_word(p, best_idx / 64);
-        p.epoch.retire(best,
-                       [](void* ptr) { delete static_cast<Entry*>(ptr); });
+        if (this->ledger_.claim_popped(e, p.index)) out = std::move(e.task);
+        clear_bit_healed(best.idx);
+        heal_word(p, best.idx / 64);
         if (!out) {
           // Tombstone reaped: that is progress, not a failed claim —
           // spend a fresh attempt budget on the next-best candidate.
@@ -253,8 +243,6 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
         // Sampled rank-error probe (PR 8): every rank_probe-th successful
         // window claim measures how many published tasks strictly beat
         // the one we took — A1's aggregate ratio as a live distribution.
-        // Still inside the epoch guard, so the slot pointers the scan
-        // reads cannot be freed under it.
         if (this->cfg_.rank_probe > 0 &&
             ++p.rank_probe_tick >=
                 static_cast<std::uint64_t>(this->cfg_.rank_probe)) {
@@ -278,17 +266,42 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
   // quiescence each retry permanently heals the path it took.
   static constexpr int kMaxDescents = 4;
 
+  // A slot's state word: (version << 2) | state.  The version grows by
+  // one each time a claim empties the slot.
+  static constexpr std::uint64_t kEmptySlot = 0;
+  static constexpr std::uint64_t kFilling = 1;
+  static constexpr std::uint64_t kFull = 2;
+  static constexpr std::uint64_t kClaiming = 3;
+  static constexpr std::uint64_t kStateMask = 3;
+  static constexpr std::uint64_t kVersion = 4;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// One window slot.  `entry` is owned by the push between its
+  /// empty → filling CAS and its release store of full, and by the pop
+  /// between its full → claiming CAS and its release store of empty;
+  /// nobody else reads it.  Scanners read only `word` and `key`.
+  struct Slot {
+    std::atomic<std::uint64_t> word{kEmptySlot};
+    std::atomic<double> key{kEmpty};  // entry's priority while full
+    Entry entry;
+  };
+
+  /// A scan's best full slot: its index, the state word the scan read
+  /// (the claim CAS's expected value) and its key.
+  struct Pick {
+    std::size_t idx = kNoSlot;
+    std::uint64_t word = 0;
+    double key = kEmpty;
+  };
+
   /// Summary-guided free-slot probe: skip words whose 64 slots all look
   /// occupied, CAS into clear-bit candidates.  A stale-set bit (claim in
   /// flight) can hide a momentarily free slot; the worst case is a false
-  /// overflow into the strict heap — never a lost task.
+  /// overflow into the strict heap — never a lost task.  On success the
+  /// entry has moved into the slot.
   bool push_summary_guided(Place& p, std::size_t window, std::size_t start,
-                           Entry* node) {
-    // Snapshot before the CAS: the winning CAS publishes `node`, and a
-    // racing pop may claim, retire, and (push being unpinned) free it
-    // before this thread's next instruction — `node` is ours to read
-    // only up to the publication point.
-    const double pri = static_cast<double>(node->task.priority);
+                           Entry& entry) {
+    const double pri = static_cast<double>(entry.task.priority);
     const std::size_t words = (window + 63) / 64;
     for (std::size_t i = 0; i < words; ++i) {
       std::size_t w = start / 64 + i;
@@ -306,15 +319,21 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
         const std::size_t idx =
             base + static_cast<std::size_t>(std::countr_zero(free_bits));
         free_bits &= free_bits - 1;
+        Slot& slot = window_[idx];
         // order: relaxed — free-slot probe; the CAS is the real gate.
-        Entry* expected = window_[idx].load(std::memory_order_relaxed);
-        if (expected != nullptr) continue;
+        std::uint64_t expected = slot.word.load(std::memory_order_relaxed);
+        if ((expected & kStateMask) != kEmptySlot) continue;
         // order: relaxed (failure) — lost slot race carries no data;
-        // success is release to publish the node's payload.
+        // success is acquire, so the last claimer's move out of `entry`
+        // happens-before this thread's write into it.
         if (!KPS_FAILPOINT_FAIL("central.push.slot_cas") &&
-            window_[idx].compare_exchange_strong(expected, node,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed)) {
+            slot.word.compare_exchange_strong(expected, expected | kFilling,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+          slot.entry = std::move(entry);
+          // order: relaxed — published by the release store of full.
+          slot.key.store(pri, std::memory_order_relaxed);
+          slot.word.store(expected | kFull, std::memory_order_release);
           summary_[w].fetch_or(std::uint64_t{1} << (idx - base),
                                std::memory_order_release);
           min_index_.note_min(w, pri);
@@ -326,62 +345,68 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
     return false;
   }
 
-  /// Scan one summary word's occupied slots, folding them into the
-  /// running best; applies the lazy stale-set repair exactly like the
-  /// full scan.  Returns slot pointers loaded.
-  std::uint64_t scan_word(std::size_t w, Entry** best,
-                          std::size_t* best_idx) {
+  /// The one walk over word w's occupied slots: f(idx, state word) for
+  /// every set summary bit.  Returns the slot words loaded.
+  template <typename F>
+  std::uint64_t for_each_occupied(std::size_t w, F&& f) {
     std::uint64_t slot_loads = 0;
     std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
     while (occ) {
       const std::size_t idx =
           w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
       occ &= occ - 1;
-      Entry* node = window_[idx].load(std::memory_order_acquire);
       ++slot_loads;
-      if (node) {
-        if (!*best || node->task.priority < (*best)->task.priority) {
-          *best = node;
-          *best_idx = idx;
-        }
-      } else {
+      f(idx, window_[idx].word.load(std::memory_order_acquire));
+    }
+    return slot_loads;
+  }
+
+  /// Key of a slot whose word a walk just read as full.
+  double key_of(std::size_t idx) const {
+    // order: relaxed — the walk's acquire load of the full word orders
+    // this after the filler's key store; a newer key means the slot was
+    // refilled since, and the claim CAS on the old word then fails.
+    return window_[idx].key.load(std::memory_order_relaxed);
+  }
+
+  /// Scan one summary word's occupied slots, folding the full ones into
+  /// the running best; applies the lazy stale-set repair exactly like
+  /// the full scan.  Returns slot words loaded.
+  std::uint64_t scan_word(std::size_t w, Pick* best) {
+    return for_each_occupied(w, [&](std::size_t idx, std::uint64_t word) {
+      const std::uint64_t state = word & kStateMask;
+      if (state == kFull) {
+        const double key = key_of(idx);
+        if (best->idx == kNoSlot || key < best->key) *best = {idx, word, key};
+      } else if (state == kEmptySlot) {
         // Stale-set repair: a heal re-set that lost a race with a
         // second claimer can strand a set bit over an empty slot,
         // and pushers never probe set bits — without this lazy
         // clear the window would leak capacity monotonically.
         clear_bit_healed(idx);
       }
-    }
-    return slot_loads;
+    });
   }
 
   /// Full occupancy scan: every summary word, every occupied slot.  The
   /// completeness fallback when every min-index descent misses.
-  void scan_summary(Place& p, Entry** best, std::size_t* best_idx) {
+  void scan_summary(Place& p, Pick* best) {
     std::uint64_t slot_loads = 0;
     p.counters->inc(Counter::summary_loads, summary_.size());
     for (std::size_t w = 0; w < summary_.size(); ++w) {
-      slot_loads += scan_word(w, best, best_idx);
+      slot_loads += scan_word(w, best);
     }
     p.counters->inc(Counter::slot_loads, slot_loads);
   }
 
-  /// Ground truth for a min-index heal: the minimum priority currently
-  /// published in word w (+inf when the word is empty).
+  /// Ground truth for a min-index heal: the minimum key currently full
+  /// in word w (+inf when the word is empty).
   double word_min(std::size_t w, std::uint64_t* slot_loads) {
     double m = MinIndex::kEmpty;
-    std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
-    while (occ) {
-      const std::size_t idx =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
-      occ &= occ - 1;
-      Entry* node = window_[idx].load(std::memory_order_acquire);
-      ++*slot_loads;
-      if (node) {
-        const double v = static_cast<double>(node->task.priority);
-        if (v < m) m = v;
-      }
-    }
+    *slot_loads += for_each_occupied(w, [&](std::size_t idx,
+                                            std::uint64_t word) {
+      if ((word & kStateMask) == kFull) m = std::min(m, key_of(idx));
+    });
     return m;
   }
 
@@ -401,7 +426,7 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
   /// stale word (claimed out or raise-hidden) heals it from ground
   /// truth and retries; the caller falls back to the full scan when
   /// every descent misses.
-  void descend_best(Place& p, Entry** best, std::size_t* best_idx) {
+  void descend_best(Place& p, Pick* best) {
     for (int d = 0; d < kMaxDescents; ++d) {
       p.counters->inc(Counter::tree_descents);
       std::uint64_t heals = 0;
@@ -413,47 +438,40 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
       // the remaining descent budget before the caller's full scan.
       if (w == MinIndex::kNone) continue;
       p.counters->inc(Counter::summary_loads);
-      const std::uint64_t loads = scan_word(w, best, best_idx);
-      p.counters->inc(Counter::slot_loads, loads);
-      if (*best) return;
+      p.counters->inc(Counter::slot_loads, scan_word(w, best));
+      if (best->idx != kNoSlot) return;
       heal_word(p, w);
     }
   }
 
   /// Clear a claimed slot's summary bit, then heal the clear/set race: if
-  /// a pusher refilled the slot between our claim CAS and the clear, the
-  /// re-read sees its node (the pusher's fetch_or on the same word orders
-  /// its slot store before our fetch_and's view) and re-sets the bit.
+  /// a pusher refilled the slot between our claim and the clear, the
+  /// re-read finds it not empty (the pusher's fetch_or on the same word
+  /// orders its slot store before our fetch_and's view) and re-sets the
+  /// bit.
   void clear_bit_healed(std::size_t idx) {
     auto& word = summary_[idx / 64];
     const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
     word.fetch_and(~bit, std::memory_order_acq_rel);
     // Seam: widen the clear/re-read race window the heal exists to close.
     KPS_FAILPOINT("central.heal.clear_bit");
-    if (window_[idx].load(std::memory_order_acquire) != nullptr) {
+    if ((window_[idx].word.load(std::memory_order_acquire) & kStateMask) !=
+        kEmptySlot) {
       word.fetch_or(bit, std::memory_order_release);
     }
   }
 
-  /// Window-visible rank error of a just-claimed task: published window
-  /// entries whose priority strictly beats it.  Must run under the
-  /// caller's epoch guard.  Tombstoned entries are counted as published
-  /// (checking liveness would race the canceller for no measurement
-  /// gain); with lifecycle off — the A1 configuration — the count is
-  /// exact for the window tier.
+  /// Window-visible rank error of a just-claimed task: full window slots
+  /// whose key strictly beats it.  Tombstoned entries are counted as
+  /// published (checking liveness would race the canceller for no
+  /// measurement gain); with lifecycle off — the A1 configuration — the
+  /// count is exact for the window tier.
   void probe_rank(Place& p, double claimed) {
     std::uint64_t rank = 0;
     for (std::size_t w = 0; w < summary_.size(); ++w) {
-      std::uint64_t occ = summary_[w].load(std::memory_order_acquire);
-      while (occ) {
-        const std::size_t idx =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(occ));
-        occ &= occ - 1;
-        Entry* node = window_[idx].load(std::memory_order_acquire);
-        if (node && static_cast<double>(node->task.priority) < claimed) {
-          ++rank;
-        }
-      }
+      for_each_occupied(w, [&](std::size_t idx, std::uint64_t word) {
+        if ((word & kStateMask) == kFull && key_of(idx) < claimed) ++rank;
+      });
     }
     this->cfg_.rank_error->record(p.index, rank);
   }
@@ -471,8 +489,7 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
                         std::memory_order_release);
   }
 
-  EpochDomain domain_;  // declared before places_: EpochThreads must die first
-  std::vector<std::atomic<Entry*>> window_;
+  std::vector<Slot> window_;
   std::vector<std::atomic<std::uint64_t>> summary_;  // 1 bit per window slot
   MinIndex min_index_;  // one cached min per summary word + d-ary tree
   Spinlock overflow_lock_;

@@ -64,6 +64,7 @@
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
+#include "support/atomic_minmax.hpp"
 #include "support/failpoint.hpp"
 #include "support/mpsc_ring.hpp"
 #include "support/rng.hpp"
@@ -327,14 +328,9 @@ class HybridKpq : public StorageBase<HybridKpq<TaskT>, TaskT> {
   /// CAS-min the target's advisory inbox minimum after a commit.
   static void note_inbox_min(Place& target, double best) {
     // order: relaxed — advisory minimum only; the ring commit's release
-    // store already published the run, this just steers spies.
-    double cur = target.inbox_min.load(std::memory_order_relaxed);
-    while (best < cur &&
-           // order: relaxed — same advisory-minimum argument; a lost CAS
-           // reloads and retries, a stale win costs one wasted try_lock.
-           !target.inbox_min.compare_exchange_weak(
-               cur, best, std::memory_order_relaxed)) {
-    }
+    // store already published the run, this just steers spies, and a
+    // stale win costs one wasted try_lock.
+    cas_min(target.inbox_min, best, std::memory_order_relaxed);
   }
 
   /// Mail one pre-sorted run.  Full-ring fallback: the publisher keeps

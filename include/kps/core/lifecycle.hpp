@@ -33,8 +33,7 @@
 // Memory reclamation: blocks are type-stable — owned by the ledger's
 // chunked pool for the storage's whole lifetime and recycled through a
 // free list, so a stale TaskHandle can always be dereferenced safely
-// (the same guarantee the epoch domain gives the centralized window's
-// nodes, enforced here by never returning block memory mid-run).  ABA on
+// (enforced by never returning block memory mid-run).  ABA on
 // recycling is closed by a generation counter packed into the state word:
 // cancel CASes the full {generation, state} word, so a handle to a
 // recycled block mismatches on generation and fails cleanly.  Claim and

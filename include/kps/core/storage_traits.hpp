@@ -204,9 +204,8 @@ struct PlaceBase {
 /// admitted() and ends with deliver(), reaped(), or a displacement, so
 ///     spawned == executed + shed + cancelled
 /// and the gate's resident count are kept in one place.  Derived (CRTP)
-/// supplies try_push and keeps its own Place vector, because only it
-/// knows which of its members the places must die before (the
-/// centralized storage's EpochThreads, before its EpochDomain).
+/// supplies try_push and keeps its own Place vector, since it declares
+/// the Place type.
 template <typename Derived, typename TaskT, bool kReprioritize = true>
 class StorageBase {
  public:

@@ -19,6 +19,7 @@
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "graph/generators.hpp"
+#include "support/atomic_minmax.hpp"
 #include "support/stats.hpp"
 #include "workloads/runner.hpp"
 
@@ -91,15 +92,10 @@ SsspResult parallel_sssp(const Graph& g, Graph::node_t src, Storage& storage,
     for (std::uint64_t e = g.offsets[v]; e < end; ++e) {
       const Graph::node_t u = g.targets[e];
       const double nd = d + g.weights[e];
-      double cur = dist[u].load(std::memory_order_relaxed);  // order: relaxed — CAS seed
-      while (nd < cur) {
-        // order: relaxed — CAS-min on a plain double cell: the spawned
-        // task, not the cell, carries the distance to its reader.
-        if (dist[u].compare_exchange_weak(cur, nd,
-                                          std::memory_order_relaxed)) {
-          handle.spawn({nd, u});
-          break;
-        }
+      // order: relaxed — CAS-min on a plain double cell: the spawned
+      // task, not the cell, carries the distance to its reader.
+      if (cas_min(dist[u], nd, std::memory_order_relaxed)) {
+        handle.spawn({nd, u});
       }
     }
     return true;

@@ -1,9 +1,9 @@
 // Deterministic fault-injection failpoints for the robustness harness.
 //
 // Every contended seam in the storages (slot-claim CAS, occupancy heal,
-// publish/spy/steal attempts, epoch pin/advance, min-index note/heal, the
-// runner's pop loop) carries a *named* failpoint.  A test or bench arms a
-// seam with a Policy and the seam then misbehaves on purpose — loses its
+// publish/spy/steal attempts, min-index note/heal, the runner's pop
+// loop) carries a *named* failpoint.  A test or bench arms a seam with
+// a Policy and the seam then misbehaves on purpose — loses its
 // CAS, skips its publish, spins a delay window, yields, or parks until
 // released — under a seeded, deterministic schedule, so the "what if the
 // race goes the other way HERE" arguments in DESIGN.md become mechanically

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "support/atomic_minmax.hpp"
 #include "support/stats.hpp"
 
 namespace kps {
@@ -124,13 +125,9 @@ class Histogram {
     b.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     b.count.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — see above
     b.sum.fetch_add(v, std::memory_order_relaxed);  // order: relaxed — see above
-    std::uint64_t m = b.max.load(std::memory_order_relaxed);  // order: relaxed — CAS seed
-    // order: relaxed (both) — CAS-max carries no payload; the loop
-    // re-validates against the reloaded value.
-    while (v > m && !b.max.compare_exchange_weak(m, v,
-                                                 std::memory_order_relaxed,
-                                                 std::memory_order_relaxed)) {
-    }
+    // order: relaxed — CAS-max on a measurement cell; it carries no
+    // payload.
+    cas_max(b.max, v, std::memory_order_relaxed);
   }
 
   /// One place's snapshot.  Each cell is read exactly once (relaxed);

@@ -46,6 +46,7 @@
 #include <limits>
 #include <vector>
 
+#include "support/atomic_minmax.hpp"
 #include "support/failpoint.hpp"
 
 namespace kps {
@@ -89,7 +90,7 @@ class MinIndex {
     if (KPS_FAILPOINT_FAIL("minindex.note_min")) return;
     std::size_t idx = b;
     for (auto& level : levels_) {
-      if (!cas_min(level[idx], v)) return;
+      if (!cas_min(level[idx], v, std::memory_order_acq_rel)) return;
       idx /= kFanout;
     }
   }
@@ -103,29 +104,7 @@ class MinIndex {
   template <typename Recompute>
   std::uint64_t heal_block(std::size_t b, Recompute&& recompute) {
     KPS_FAILPOINT("minindex.heal");  // widen the recompute/raise race window
-    std::uint64_t heals = 0;
-    auto& node = levels_.front()[b];
-    double cur = node.load(std::memory_order_acquire);
-    const double m = recompute();
-    if (m < cur) {
-      if (cas_min(node, m)) ++heals;
-      // order: relaxed (failure) — lost raise: a racing writer got
-      // there first; its value is lower or freshly recomputed.
-    } else if (m > cur &&
-               node.compare_exchange_strong(cur, m,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-      ++heals;
-      // Re-check: a push whose entry landed between our recompute scan
-      // and the raise CAS (and whose own note_min read the pre-raise
-      // value, concluding it had nothing to do) would be hidden by the
-      // raise; re-reading ground truth after the CAS surfaces it.
-      const double m2 = recompute();
-      if (m2 < m && cas_min(node, m2)) ++heals;
-    }
-    // CAS failure on the raise leg means a racing writer got there
-    // first — its value is either lower (conservative) or its own fresh
-    // recompute; either way leave it.
+    const std::uint64_t heals = heal_node(levels_.front()[b], recompute);
     return heals + heal_up(b / kFanout);
   }
 
@@ -164,28 +143,20 @@ class MinIndex {
       auto& node = levels_[l][idx];
       // order: relaxed — staleness probe feeding a CAS-from-observed; a
       // stale read only makes the CAS fail and the heal retry later.
-      double cur = node.load(std::memory_order_relaxed);
+      const double cur = node.load(std::memory_order_relaxed);
       if (cur < best) {
         // Stale-low node (its former min child was raised): heal up by
         // CAS-from-observed, then re-check the children for a racing
         // decrease the raise might hide.
-        // order: relaxed (failure) — a lost raise means a racing writer
-        // owns the node; we leave its (fresher) value alone.
-        if (node.compare_exchange_strong(cur, best,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-          if (heals) ++*heals;
-          double m2 = kEmpty;
-          for (std::size_t c = lo; c < hi; ++c) {
-            const double v = children[c].load(std::memory_order_acquire);
-            if (v < m2) m2 = v;
-          }
-          if (m2 < best && cas_min(node, m2) && heals) ++*heals;
-        }
+        const std::uint64_t h = raise_recheck(
+            node, cur, best, [&] { return children_min(l, idx); });
+        if (heals) *heals += h;
       } else if (cur > best) {
         // Mid-propagation window of a bottom-up note_min (child lowered
         // first); tightening is optional but keeps root() a close bound.
-        if (cas_min(node, best) && heals) ++*heals;
+        if (cas_min(node, best, std::memory_order_acq_rel) && heals) {
+          ++*heals;
+        }
       }
       idx = best_c;
     }
@@ -193,50 +164,52 @@ class MinIndex {
   }
 
  private:
-  /// CAS-min: lower `a` to v unless it is already ≤ v.  Returns whether
-  /// a store happened.
-  static bool cas_min(std::atomic<double>& a, double v) {
-    // order: relaxed — seed for the CAS loop; the CAS re-validates.
-    double cur = a.load(std::memory_order_relaxed);
-    while (v < cur) {
-      // order: relaxed (failure) — the CAS reloads cur for the retry.
-      if (a.compare_exchange_weak(cur, v, std::memory_order_acq_rel,
-                                  std::memory_order_relaxed)) {
-        return true;
-      }
+  /// Raise `node` from the value read (`cur`) to the first scan's
+  /// minimum `m`, then re-scan and CAS-min it back down.  The re-check
+  /// exists because a push whose entry landed between the first scan
+  /// and the raise CAS (and whose own note_min read the pre-raise value,
+  /// concluding it had nothing to do) would be hidden by the raise.
+  /// Returns heal CASes performed.
+  template <typename Scan>
+  static std::uint64_t raise_recheck(std::atomic<double>& node, double cur,
+                                     double m, Scan&& rescan) {
+    // order: relaxed (failure) — lost raise: a racing writer got there
+    // first; its value is lower or freshly recomputed, so it stands.
+    if (!node.compare_exchange_strong(cur, m, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+      return 0;
     }
-    return false;
+    const double m2 = rescan();
+    const bool lowered = m2 < m && cas_min(node, m2, std::memory_order_acq_rel);
+    return lowered ? 2 : 1;  // the raise, plus the re-check's lowering
   }
 
-  /// Recompute interior node (l, idx) from its children with the raise
-  /// re-check; returns heal CASes performed.
-  std::uint64_t refresh_node(std::size_t l, std::size_t idx) {
-    auto& node = levels_[l][idx];
+  /// Minimum over interior node (l, idx)'s children.
+  double children_min(std::size_t l, std::size_t idx) const {
     const auto& children = levels_[l - 1];
     const std::size_t lo = idx * kFanout;
     const std::size_t hi = std::min(children.size(), lo + kFanout);
-    auto scan = [&] {
-      double m = kEmpty;
-      for (std::size_t c = lo; c < hi; ++c) {
-        const double v = children[c].load(std::memory_order_acquire);
-        if (v < m) m = v;
-      }
-      return m;
-    };
-    double cur = node.load(std::memory_order_acquire);
-    const double m = scan();
-    if (m < cur) return cas_min(node, m) ? 1 : 0;
-    // order: relaxed (failure) — lost raise: a racing writer's fresher
-    // value stands (see heal_block's protocol comment).
-    if (m > cur && node.compare_exchange_strong(cur, m,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-      std::uint64_t heals = 1;
-      const double m2 = scan();
-      if (m2 < m && cas_min(node, m2)) ++heals;
-      return heals;
+    double m = kEmpty;
+    for (std::size_t c = lo; c < hi; ++c) {
+      const double v = children[c].load(std::memory_order_acquire);
+      if (v < m) m = v;
     }
-    return 0;
+    return m;
+  }
+
+  /// Recompute `node` from its ground truth `scan`: CAS-min it down, or
+  /// raise it with the re-check.  Returns heal CASes performed.
+  template <typename Scan>
+  static std::uint64_t heal_node(std::atomic<double>& node, Scan&& scan) {
+    const double cur = node.load(std::memory_order_acquire);
+    const double m = scan();
+    if (m < cur) return cas_min(node, m, std::memory_order_acq_rel) ? 1 : 0;
+    return m > cur ? raise_recheck(node, cur, m, scan) : 0;
+  }
+
+  /// Recompute interior node (l, idx) from its children.
+  std::uint64_t refresh_node(std::size_t l, std::size_t idx) {
+    return heal_node(levels_[l][idx], [&] { return children_min(l, idx); });
   }
 
   /// Refresh every interior ancestor starting at (1, idx1) upward.

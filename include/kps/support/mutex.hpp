@@ -8,7 +8,7 @@
 // mutex with the identical blocking semantics (it *is* a std::mutex)
 // and a scoped guard the analysis understands.  The storages that spin
 // (per-place queues) use Spinlock; the ones that block (global PQ,
-// epoch orphan list, failpoint registry) use this.
+// failpoint registry) use this.
 #pragma once
 
 #include <mutex>

@@ -14,8 +14,8 @@
 // liveness arguments are per-operation (bounded retries, try_lock-only
 // thieves, lock-free claims); what they cannot see is a system-level
 // stall — every place spinning on pops that always lose, shedding that
-// churns without completing work, or a place wedging everyone behind an
-// epoch pin.  A place whose progress (tasks_executed + tasks_spawned)
+// churns without completing work, or a place wedging everyone behind a
+// lock it holds.  A place whose progress (tasks_executed + tasks_spawned)
 // stays flat for `stall_threshold` consecutive samples while the sampler
 // runs is flagged three ways: a `watchdog.stall` control event (arg =
 // streak, when a tracer is attached), the sample's `stalled` field, and

@@ -22,6 +22,7 @@
 
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
+#include "support/atomic_minmax.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "workloads/runner.hpp"
@@ -155,22 +156,14 @@ AstarRun astar_parallel(const GridMaze& m, Storage& storage,
         y + 1 < m.height ? v + m.width : kGridInf};
     for (const std::uint32_t u : cand) {
       if (u == kGridInf || m.blocked[u]) continue;
-      // order: relaxed — CAS-min seed; the CAS re-reads on failure.
-      std::uint32_t cur = g[u].load(std::memory_order_relaxed);
-      while (ng < cur) {
-        // order: relaxed — the spawned task, not the g[] cell, carries
-        // the distance; the cell is a monotone prune filter.
-        if (g[u].compare_exchange_weak(cur, ng,
-                                       std::memory_order_relaxed)) {
-          const std::uint32_t h = m.manhattan(u);
-          // order: relaxed — goal-bound prune, same contract as above.
-          const std::uint32_t best =
-              g[m.goal].load(std::memory_order_relaxed);
-          if (best == kGridInf || ng + h < best) {
-            handle.spawn({static_cast<double>(ng + h), {u, ng}});
-          }
-          break;
-        }
+      // order: relaxed — the spawned task, not the g[] cell, carries
+      // the distance; the cell is a monotone prune filter.
+      if (!cas_min(g[u], ng, std::memory_order_relaxed)) continue;
+      const std::uint32_t h = m.manhattan(u);
+      // order: relaxed — goal-bound prune, same contract as above.
+      const std::uint32_t best = g[m.goal].load(std::memory_order_relaxed);
+      if (best == kGridInf || ng + h < best) {
+        handle.spawn({static_cast<double>(ng + h), {u, ng}});
       }
     }
     return true;

@@ -35,6 +35,7 @@
 
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
+#include "support/atomic_minmax.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "workloads/runner.hpp"
@@ -172,23 +173,6 @@ struct BnbRun {
 
 namespace detail {
 
-/// CAS-max; true iff this call actually raised the value (the caller
-/// improved the incumbent and owns the improvement — speculative pruning
-/// keys off exactly that edge).
-inline bool cas_max(std::atomic<std::uint64_t>& target, std::uint64_t v) {
-  // order: relaxed — CAS-max seed; a stale read only costs an extra
-  // loop iteration before the CAS re-reads the true value.
-  std::uint64_t cur = target.load(std::memory_order_relaxed);
-  while (cur < v) {
-    // order: relaxed — the incumbent is a monotone measurement cell;
-    // the spawned tasks, not this cell, carry the data dependency.
-    if (target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// The search both variants share: best-first expansion with a pop-time
 /// dominance re-check, run to quiescence.  `spawn_child(handle, node)` —
 /// the only difference between the variants — folds the child's profit
@@ -242,7 +226,9 @@ BnbRun bnb_parallel(const KnapsackInstance& inst, Storage& storage,
   const auto n = static_cast<std::uint32_t>(inst.items());
   std::atomic<std::uint64_t> incumbent{0};
   auto spawn_child = [&](RunnerHandle<Storage>& handle, BnbNode child) {
-    detail::cas_max(incumbent, child.profit);
+    // order: relaxed — the incumbent is a monotone measurement cell;
+    // the spawned tasks, not this cell, carry the data dependency.
+    cas_max(incumbent, child.profit, std::memory_order_relaxed);
     if (child.level >= n) return;  // leaf: its value is already folded in
     const std::uint64_t ub =
         knapsack_bound(inst, child.level, child.weight, child.profit);
@@ -312,7 +298,9 @@ BnbRun bnb_parallel_speculative(const KnapsackInstance& inst,
   };
 
   auto spawn_child = [&](RunnerHandle<Storage>& handle, BnbNode child) {
-    if (detail::cas_max(incumbent, child.profit)) {
+    // order: relaxed — as above.  A store means this call improved the
+    // incumbent and owns the improvement, which the sweep keys off.
+    if (cas_max(incumbent, child.profit, std::memory_order_relaxed)) {
       // order: relaxed — sweep threshold; a stale incumbent only keeps a
       // dominated handle alive until the next sweep.
       sweep(handle, incumbent.load(std::memory_order_relaxed));

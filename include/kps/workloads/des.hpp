@@ -73,6 +73,7 @@
 #include "core/storage_traits.hpp"
 #include "core/task_types.hpp"
 #include "queues/dary_heap.hpp"
+#include "support/atomic_minmax.hpp"
 #include "support/min_index.hpp"
 #include "support/stats.hpp"
 #include "workloads/runner.hpp"
@@ -135,20 +136,6 @@ struct DesRun {
 };
 
 namespace detail {
-
-/// Monotone advance: raise `a` to at least v.  CAS-max instead of a
-/// plain store — with spawn-then-store ordering a fast peer can pop the
-/// successor and raise the entry before the spawner's own store lands,
-/// and that later value must survive.
-inline void store_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);  // order: relaxed — CAS seed
-  // order: relaxed (failure) — the CAS reloads cur for the retry;
-  // success is release so a floor reader sees the event spawned before.
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_release,
-                                  std::memory_order_relaxed)) {
-  }
-}
 
 inline std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
@@ -271,7 +258,7 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
 
   // chain_time[c] = timestamp of chain c's single live event (+inf once
   // the chain passed the horizon); min over it bounds global virtual
-  // time from below.  Entries advance monotonically via store_max (see
+  // time from below.  Entries advance monotonically via CAS-max (see
   // the header comment's ordering invariant).
   std::vector<std::atomic<double>> chain_time(p.chains);
   std::vector<DesTask> seeds;
@@ -345,14 +332,11 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     // order: relaxed — the high-water mark is a measurement cell (CAS-
     // max below); an inversion verdict may lag a racing commit, which is
     // exactly the approximate-order statistic being measured.
-    double hw = committed_high.load(std::memory_order_relaxed);
-    if (t < hw) {
+    if (t < committed_high.load(std::memory_order_relaxed)) {
       inversions.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
     } else {
       // order: relaxed — CAS-max on the measurement cell; see above.
-      while (t > hw && !committed_high.compare_exchange_weak(
-                           hw, t, std::memory_order_relaxed)) {
-      }
+      cas_max(committed_high, t, std::memory_order_relaxed);
     }
 
     const DesTransition tr = des_transition(p, ev.chain, ev.step, t);
@@ -360,13 +344,14 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
     tally.checksum += detail::des_fingerprint(ev.chain, ev.step, t);
     // Spawn BEFORE raising chain_time (ordering invariant, header
     // comment): a raised entry must never describe an event nobody can
-    // pop yet.  store_max, not store — the successor's worker may have
-    // already advanced the entry further.
+    // pop yet.  CAS-max, not store — the successor's worker may have
+    // already advanced the entry further, and that later value must
+    // survive; release, so a floor reader sees the event spawned before.
     if (tr.depart <= p.horizon) {
       spawn_event(handle, {tr.depart, {ev.chain, ev.step + 1, 0}});
-      detail::store_max(chain_time[ev.chain], tr.depart);
+      cas_max(chain_time[ev.chain], tr.depart, std::memory_order_release);
     } else {
-      detail::store_max(chain_time[ev.chain], kInf);
+      cas_max(chain_time[ev.chain], kInf, std::memory_order_release);
     }
     if (use_floor) {
       const std::size_t b = ev.chain / 64;

@@ -15,9 +15,9 @@
 //   * Centralized rank bound: with push/claim/min-index seams armed, a
 //     pop never bypasses more than k better tasks (the §4.1.1 guarantee
 //     fault injection is supposed to stress, not suspend).
-//   * Epoch stall: a place parked *while pinned* (stall seam inside
-//     pin()) blocks epoch advance — no deleter may run — and reclamation
-//     resumes once the stall is released.
+//   * Stale claim: a centralized pop parked between its scan and its
+//     claim CAS loses that CAS once another place has emptied and
+//     refilled the slot, and takes the next-best task instead.
 //   * Bounded capacity: at P = 1 every storage sheds exactly against its
 //     documented tier (global_pq's survivors are precisely the best C
 //     tasks), and SSSP under a tight capacity terminates with distances
@@ -42,7 +42,6 @@
 #include "graph/dijkstra.hpp"
 #include "graph/generators.hpp"
 #include "graph/sssp.hpp"
-#include "support/epoch.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "workloads/des.hpp"
@@ -70,10 +69,8 @@ const std::vector<StorageSeams> kCatalog = {
     {"global_pq", {"global.push.lock", "global.pop.lock"}},
     {"centralized",
      {"central.push.slot_cas", "central.push.overflow",
-      "central.pop.pinned", "central.pop.overflow",
-      "central.pop.claim_cas", "central.heal.clear_bit",
-      "minindex.note_min", "minindex.heal", "epoch.advance",
-      "epoch.collect"}},
+      "central.pop.overflow", "central.pop.claim_cas",
+      "central.heal.clear_bit", "minindex.note_min", "minindex.heal"}},
     {"hybrid",
      {"hybrid.publish.attempt", "hybrid.publish.flush",
       "hybrid.inbox.append", "hybrid.inbox.fold", "hybrid.spy",
@@ -326,8 +323,7 @@ const char* injection_spec(const std::string& storage) {
     return "central.push.slot_cas=fail:p=0.3,"
            "central.pop.claim_cas=fail:p=0.3,"
            "central.heal.clear_bit=yield:p=0.2,"
-           "minindex.note_min=fail:p=0.5,minindex.heal=delay:iters=32,"
-           "epoch.advance=fail:p=0.5,epoch.collect=delay:iters=32:p=0.2";
+           "minindex.note_min=fail:p=0.5,minindex.heal=delay:iters=32";
   }
   if (storage == "hybrid") {
     // A failed inbox append forces the full-ring fallback (publisher
@@ -428,49 +424,47 @@ void test_rank_bound_under_injection() {
               pops);
 }
 
-// --------------------------------------------------------- epoch stall
-// A place that stalls WHILE PINNED (the stall seam sits after pin()'s
-// announcement fence) must wedge the epoch at its pin value + 1; no
-// retirement from the pinned epoch may be freed until the stall releases.
+// ------------------------------------------------ stale claim vs refill
+// A pop parked at its claim CAS holds the slot word its scan read.  Once
+// another place has emptied the slot and refilled it, the slot carries
+// the next version, so the parked claim must fail and the pop must take
+// the overflow heap's task, which now beats the refill.
 
-void test_epoch_stall_blocks_reclamation() {
+void test_stale_claim_loses_to_refill() {
   if (!fp::enabled()) {
-    std::printf("  epoch stall: skipped (failpoints compiled out)\n");
+    std::printf("  stale claim: skipped (failpoints compiled out)\n");
     return;
   }
-  EpochDomain dom;
+  StatsRegistry stats(2);
+  auto s = build("centralized", 2, 1, 3, stats);
+  auto& p0 = s.place(0);
+  auto& p1 = s.place(1);
+  // 0.1 takes the one window slot, 0.5 overflows into the heap.
+  const bool seeded = s.try_push(p0, 1, {0.1, 1}).accepted &&
+                      s.try_push(p0, 1, {0.5, 2}).accepted;
+  assert(seeded);
   fp::Policy stall;
   stall.action = fp::Action::stall;
-  stall.count = 1;  // only the victim's pin parks; ours sail through
-  fp::site("epoch.pin").arm(stall);
+  stall.count = 1;  // only place 0's claim parks
+  auto& seam = fp::site("central.pop.claim_cas");
+  seam.arm(stall);
+  std::optional<SsspTask> got;
+  std::thread victim([&] { got = s.pop(p0); });
+  while (seam.stalled() == 0) std::this_thread::yield();
 
-  std::thread victim([&] {
-    EpochThread t = dom.register_thread();
-    t.pin();  // parks inside the seam, pinned
-    t.unpin();
-  });
-  while (fp::site("epoch.pin").stalled() == 0) std::this_thread::yield();
-
-  std::atomic<int> freed{0};
-  {
-    EpochThread c = dom.register_thread();
-    c.retire(&freed, [](void* p) {
-      static_cast<std::atomic<int>*>(p)->fetch_add(1,
-                                                   std::memory_order_relaxed);
-    });
-    // The victim is pinned at epoch e: collect can advance to e+1 once,
-    // then never again, and e+3 is out of reach — the deleter must not run.
-    for (int i = 0; i < 10; ++i) c.collect();
-    assert(freed.load() == 0 && "reclaimed under a live pin");
-    assert(fp::site("epoch.pin").stalled() == 1);
-
-    fp::site("epoch.pin").disarm();  // release the victim
-    victim.join();
-    for (int i = 0; i < 6 && freed.load() == 0; ++i) c.collect();
-    assert(freed.load() == 1 && "reclamation did not resume after release");
-  }
-  std::printf("  epoch: stalled pin blocks reclamation, release resumes "
-              "it\n");
+  const auto first = s.pop(p1);
+  assert(first && first->priority == 0.1);
+  const bool refilled = s.try_push(p1, 1, {0.9, 3}).accepted;
+  assert(refilled);
+  seam.disarm();  // release place 0's claim
+  victim.join();
+  assert(got && got->priority == 0.5 && "stale claim took the refill");
+  assert(stats.total().get(Counter::pop_cas_failures) == 1);
+  const auto last = s.pop(p1);
+  const auto none = s.pop(p1);
+  assert(last && last->priority == 0.9 && !none);
+  std::printf("  centralized: a stale claim loses to a refill of its "
+              "slot\n");
 }
 
 // ---------------------------------------------------- bounded capacity
@@ -770,7 +764,7 @@ int main() {
   test_multiqueue_shed_tier();
   test_sssp_terminates_under_capacity();
   test_rank_bound_under_injection();
-  test_epoch_stall_blocks_reclamation();
+  test_stale_claim_loses_to_refill();
   test_sssp_oracle_under_injection();
   test_des_oracle_under_injection();
   test_seeded_schedules();

@@ -9,8 +9,8 @@
 //     once — popped, shed, or cancelled — and the counter ledger
 //     balances: spawned == executed + shed + cancelled, with every
 //     tombstone reaped by the final drain.  The centralized rows double
-//     as epoch stress: cancelled window entries retire through the epoch
-//     domain while concurrent pops scan them.
+//     as slot-protocol stress: cancelled window entries are claimed and
+//     reaped while concurrent pops scan their slots.
 //   * Exactness with cancellation armed (P = 1): the strict storage pops
 //     the surviving tasks in exact priority order after a cancel sweep,
 //     and a reprioritized (decrease-key) task surfaces at its NEW rank;
