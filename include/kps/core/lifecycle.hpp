@@ -87,7 +87,7 @@ struct TaskHandle {
 ///
 /// Conservation accounting: a task left the system (or never entered it)
 /// iff `shed` holds one — the runner uses exactly that predicate to keep
-/// its pending counter truthful under overload.
+/// its termination tallies truthful under overload.
 ///
 /// `handle` is the task's lifecycle ticket: valid iff the task entered a
 /// lifecycle-enabled storage (always invalid when accepted is false or
@@ -104,8 +104,9 @@ struct PushOutcome {
 /// re-push exactly like any try_push (the task re-entered — its new
 /// ticket is requeue.handle — possibly displacing a resident; or was
 /// itself shed at capacity, in which case it LEFT the system and the
-/// caller's pending accounting must treat it like a shed spawn).  `!detached` means the task was already consumed, cancelled,
-/// or moved by somebody else; nothing changed.
+/// caller's termination accounting must treat it like a shed spawn).
+/// `!detached` means the task was already consumed, cancelled, or moved
+/// by somebody else; nothing changed.
 template <typename TaskT>
 struct ReprioritizeOutcome {
   bool detached = false;

@@ -18,7 +18,8 @@
 // A Place handle must be driven by one thread at a time; handles of
 // different places are safe to use concurrently.  pop() is allowed to be
 // weakly complete (a transient nullopt while another place holds tasks is
-// legal) — the SSSP runner owns termination via its pending-task counter.
+// legal) — the runner owns termination via per-place spawned/finished
+// tallies that only an idle place sums (workloads/runner.hpp).
 // Lifecycle ops (core/lifecycle.hpp) act on control blocks, not container
 // positions, so any thread may cancel through any place handle it owns.
 #pragma once
@@ -343,7 +344,7 @@ class StorageBase {
   ///
   /// Lifecycle interaction: the evicted resident is claimed exactly like
   /// a pop.  A live resident comes back through out->shed (counted
-  /// tasks_shed, and the caller's runner pays its pending debt); a
+  /// tasks_shed, and the caller's runner counts it finished); a
   /// tombstoned resident is REAPED instead — the cancel already
   /// accounted for its exit, so shed stays empty.  Either way one
   /// residency ends for the one admitted, so the gate nets to zero.

@@ -8,20 +8,41 @@
 //     task may be useful (expanded) or useless (stale / pruned /
 //     deferred), and executing useless tasks costs only wasted work,
 //     never correctness;
-//   * termination is owned here, by a pending-task counter (tasks in the
-//     storage plus tasks being processed).  A worker's decrement happens
-//     only after expand() returned — i.e. after every child was spawned —
-//     so the counter can never transiently hit zero while work is still
-//     reachable, and storage pop() is therefore allowed to be weakly
-//     complete (transient nullopt while another place holds tasks).
+//   * termination is owned here, by two monotone tallies per place:
+//     `spawned` (seeds placed there, then its spawns) and `finished`
+//     (its expanded pops, shed children, displaced residents, successful
+//     cancels and shed requeues).  Only the place's own worker writes
+//     them, with a plain load plus a release store, so no line is
+//     read-modified-written by every worker per task.  A spawn adds to
+//     `spawned` before its push, and a pop adds to `finished` only after
+//     expand() returned — i.e. after every child was spawned — so the
+//     storage pop() may be weakly complete (transient nullopt while
+//     another place holds tasks).
+//
+// Termination check.  A place whose pop came back empty sums every
+// `finished` tally first (done) and every `spawned` tally second (born),
+// with acquire loads, and stops when done == born.  This is Mattern's
+// counter argument: for an instant T between the two passes,
+// done <= finished(T) <= spawned(T) <= born, so equal sums mean nothing
+// was pending at T, and after T nothing can spawn, since only a pending
+// task spawns.  In C++ terms: each finish's spawn happens-before it (the
+// `spawned` add is sequenced before the push, and the finish follows the
+// storage's push-release / pop-acquire, the lifecycle ledger's acq_rel
+// CAS or the timer wheel's lock), and the acquire load that reads a
+// finish orders the second pass after it, so the second pass counts the
+// spawn of every finish the first pass read: done <= born, asserted.
+// Read in the other order, a successor spawned and its parent finished
+// between the passes would balance the sums while the successor is
+// still pending.
 //
 // expand(handle, task) -> bool runs concurrently on every place; `true`
 // means the pop did useful work, `false` means it was wasted (the runner
 // keeps per-place tallies of both — the relaxation-quality panels).  New
-// tasks are spawned through handle.spawn(task), which bumps the pending
-// counter before pushing.  An optional pop hook observes every claimed
-// task before expansion (rank-error / timestamp-inversion probes) without
-// the workloads having to thread measurement through their expand logic.
+// tasks are spawned through handle.spawn(task), which adds to the place's
+// `spawned` tally before pushing.  An optional pop hook observes every
+// claimed task before expansion (rank-error / timestamp-inversion probes)
+// without the workloads having to thread measurement through their expand
+// logic.
 //
 // Since PR 4 the relaxation window is a pluggable policy
 // (core/relaxation_policy.hpp): the runner feeds every pop's outcome to
@@ -32,6 +53,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -50,7 +72,7 @@ namespace kps {
 
 /// What a fired deadline does to its task (PR 7 lifecycle).
 enum class TimerAction {
-  cancel,    // expire: tombstone the residency, drop it from pending
+  cancel,    // expire: tombstone the residency; the cancel is its finish
   escalate,  // soft deadline: detach + re-push at a better priority
 };
 
@@ -91,8 +113,27 @@ struct RunnerObs {
   Telemetry* telemetry = nullptr;
 };
 
+/// One place's termination tallies (header comment).  Monotone, and
+/// written only by the place's own worker, so an add is a plain load
+/// plus a release store, no read-modify-write.
+struct TerminationTally {
+  std::atomic<std::uint64_t> spawned{0};
+  std::atomic<std::uint64_t> finished{0};
+
+  void add_spawned() { add(spawned); }
+  void add_finished() { add(finished); }
+
+ private:
+  static void add(std::atomic<std::uint64_t>& tally) {
+    // order: relaxed load — the tally's one writer reads its own last
+    // store; the release store pairs with the idle check's acquire loads.
+    tally.store(tally.load(std::memory_order_relaxed) + 1,
+                std::memory_order_release);
+  }
+};
+
 /// Per-worker view handed to expand(): the only way a workload spawns
-/// child tasks, so the pending-counter protocol cannot be bypassed.  The
+/// child tasks, so the termination tallies cannot be bypassed.  The
 /// window is read through a reference the runner updates after every
 /// policy decision — spawns always use the place's current window.
 template <typename Storage>
@@ -103,13 +144,13 @@ class RunnerHandle {
   using wheel_type = RunnerTimerWheel<Storage>;
 
   RunnerHandle(Storage& storage, typename Storage::Place& place,
-               const int& k, std::atomic<std::int64_t>& pending,
+               const int& k, TerminationTally& tally,
                wheel_type* wheel = nullptr,
                std::atomic<std::uint64_t>* ticks = nullptr)
       : storage_(&storage),
         place_(&place),
         k_(&k),
-        pending_(&pending),
+        tally_(&tally),
         wheel_(wheel),
         ticks_(ticks) {}
 
@@ -120,46 +161,39 @@ class RunnerHandle {
 
   /// Publish a child task and return its lifecycle handle (invalid when
   /// the child itself was shed, or lifecycle is off; a valid handle
-  /// means the child resides in the storage).  The pending increment
-  /// precedes the push: a sibling popping the child immediately still
-  /// sees pending > 0.
+  /// means the child resides in the storage).  The `spawned` add
+  /// precedes the push, so a sibling that pops and finishes the child at
+  /// once can never be counted before the child's spawn is.
   ///
   /// Backpressure contract: a bounded-capacity storage may shed a task
   /// (the child itself, or a worse resident it displaced).  Either way
-  /// exactly one task left the system without being executed, so the
-  /// optimistic increment is paid back here — acq_rel, like the
-  /// worker's post-expand decrement, because this decrement too may be
-  /// the one that releases a terminating peer.
+  /// exactly one task left the system without being executed, so this
+  /// place counts it finished.
   TaskHandle spawn_tracked(task_type task) {
-    // order: relaxed — optimistic increment; only the DECREMENT side can
-    // release a terminating peer, so only it needs acq_rel.
-    pending_->fetch_add(1, std::memory_order_relaxed);
+    tally_->add_spawned();
     const auto out = storage_->try_push(*place_, *k_, std::move(task));
-    if (out.shed.has_value()) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
-    }
+    if (out.shed.has_value()) tally_->add_finished();
     return out.handle;
   }
 
   /// Tombstone a spawned-but-unexecuted task.  On success the residency
-  /// will never be claimed as work, so it stops holding the termination
-  /// counter — the decrement here is the cancelled task's "execution".
+  /// will never be claimed as work, so the cancel is the task's finish.
   /// False (already consumed / cancelled / stale handle) changes nothing.
   bool cancel(TaskHandle h) {
     if (!storage_->cancel(*place_, h)) return false;
-    pending_->fetch_sub(1, std::memory_order_acq_rel);
+    tally_->add_finished();
     return true;
   }
 
-  /// Decrease-key: detach + re-push at `priority`.  Pending moves only if
-  /// the residency count actually changed — detached but the requeue
-  /// shed a task (either the re-pushed task itself or a displaced
+  /// Decrease-key: detach + re-push at `priority`.  The moved task stays
+  /// pending; a task is finished here only if it was detached and the
+  /// requeue shed one (either the re-pushed task itself or a displaced
   /// resident; one task left the system either way).
   ReprioritizeOutcome<task_type> reprioritize(TaskHandle h,
                                               priority_type priority) {
     auto out = storage_->reprioritize(*place_, h, priority);
     if (out.detached && out.requeue.shed.has_value()) {
-      pending_->fetch_sub(1, std::memory_order_acq_rel);
+      tally_->add_finished();
     }
     return out;
   }
@@ -190,7 +224,7 @@ class RunnerHandle {
   Storage* storage_;
   typename Storage::Place* place_;
   const int* k_;
-  std::atomic<std::int64_t>* pending_;
+  TerminationTally* tally_;
   wheel_type* wheel_ = nullptr;
   std::atomic<std::uint64_t>* ticks_ = nullptr;
 };
@@ -215,8 +249,10 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   result.policy_by_place.assign(P, PolicyReport{});
 
   // Per-place tallies and controller state live on their own cache lines
-  // during the run; each is written only by its own worker.
+  // during the run; each is written only by its own worker.  `term` is
+  // the one field other places read (the idle check).
   struct alignas(kCacheLine) Local {
+    TerminationTally term;
     std::uint64_t expanded = 0;
     std::uint64_t wasted = 0;
     typename Policy::PlaceState pstate;
@@ -236,20 +272,36 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     return result;
   }
 
-  std::atomic<std::int64_t> pending{
-      static_cast<std::int64_t>(seeds.size())};
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     // Round-robin seeding: multi-seed workloads (DES populations) start
     // spread across places; a single seed lands at place 0 exactly like
-    // the original SSSP loop.  Each seed uses its place's initial window.
-    // Seeds obey the same backpressure accounting as spawns.
-    const auto out = storage.try_push(storage.place(i % P),
-                                      locals[i % P].current_k, seeds[i]);
-    if (out.shed.has_value()) {
-      // order: relaxed — still single-threaded (workers not yet started).
-      pending.fetch_sub(1, std::memory_order_relaxed);
-    }
+    // the original SSSP loop.  Each seed uses its place's initial window
+    // and counts on its place's tallies, with the same backpressure
+    // accounting as a spawn.  Still single-threaded: starting the workers
+    // publishes these adds to them.
+    Local& local = locals[i % P];
+    local.term.add_spawned();
+    const auto out =
+        storage.try_push(storage.place(i % P), local.current_k, seeds[i]);
+    if (out.shed.has_value()) local.term.add_finished();
   }
+
+  // The idle check (header comment): every finished tally first, every
+  // spawned tally second.
+  // order: acquire — a load that reads a finish synchronizes with its
+  // release store, so the second pass sees that task's spawn.
+  auto quiescent = [&] {
+    std::uint64_t done = 0;
+    std::uint64_t born = 0;
+    for (const Local& l : locals) {
+      done += l.term.finished.load(std::memory_order_acquire);
+    }
+    for (const Local& l : locals) {
+      born += l.term.spawned.load(std::memory_order_acquire);
+    }
+    assert(done <= born);
+    return done == born;
+  };
 
   // Logical clock for the timer wheel: claimed pops, runner-wide.  At
   // P = 1 it advances deterministically with the execution order, so
@@ -260,10 +312,10 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   auto worker = [&](std::size_t place_idx) {
     auto& place = storage.place(place_idx);
     Local& local = locals[place_idx];
-    RunnerHandle<Storage> handle(storage, place, local.current_k, pending,
-                                 wheel, &ticks);
+    RunnerHandle<Storage> handle(storage, place, local.current_k,
+                                 local.term, wheel, &ticks);
     // Deliver deadline actions against this worker's own place, through
-    // the handle's pending accounting; counter credit (timers_fired + the
+    // the handle's termination tallies; counter credit (timers_fired + the
     // cancel/reap counters inside the storage) lands on the advancing
     // place, matching every other lifecycle op.  A consumed/stale handle
     // fails harmlessly.
@@ -304,7 +356,7 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
         }
       }
       if (!task) {
-        if (pending.load(std::memory_order_acquire) == 0) break;
+        if (quiescent()) break;
         idle.spin();
         continue;
       }
@@ -333,9 +385,8 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
       policy.record(local.pstate, useful);
       local.current_k = policy.window(local.pstate);
       if (tele) tele->publish_window(place_idx, local.current_k);
-      // Children are spawned; only now may this task stop holding the
-      // counter above zero.
-      pending.fetch_sub(1, std::memory_order_acq_rel);
+      // Children are spawned; only now may this task count as finished.
+      local.term.add_finished();
     }
   };
 

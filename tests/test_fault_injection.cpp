@@ -670,7 +670,8 @@ void test_sssp_terminates_under_capacity() {
       const SsspResult r = parallel_sssp(g, 0, storage, 16, &stats);
       // Shedding loses relaxations, never invents them: every distance
       // is the true one or a stale over-estimate.  (Termination itself is
-      // the main assertion — a pending-counter leak would hang here.)
+      // the main assertion — a missed finish in the runner's termination
+      // tallies would hang here.)
       for (std::size_t v = 0; v < truth.size(); ++v) {
         assert(r.dist[v] >= truth[v] - 1e-12);
       }

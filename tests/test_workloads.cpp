@@ -7,16 +7,20 @@
 // registry facade — the checks iterate kStorageNames, so a storage added
 // to the registry is swept here automatically.  The DES virtual-time
 // floor must also cost the same loads per pop at 1024 and 16384 chains
-// (A16).  The deterministic unit check of the segment-store spill lives
-// in test_mailbox (fold unit).
+// (A16).  A relay, in which each task spawns only its successor, checks
+// the runner's termination tallies while one task is pending and the
+// other places idle-check.  The deterministic unit check of the
+// segment-store spill lives in test_mailbox (fold unit).
 #include <atomic>
 #include <cassert>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/storage_registry.hpp"
 #include "core/task_types.hpp"
+#include "support/failpoint.hpp"
 #include "workloads/astar.hpp"
 #include "workloads/bnb.hpp"
 #include "workloads/des.hpp"
@@ -106,6 +110,33 @@ PlaceStats check_astar(const std::string& label, const std::string& name,
   }
   assert(run.expanded >= 1);
   return run.runner.totals;
+}
+
+// --------------------------------------------------------------- relay
+
+/// A chain of `hops` tasks, each spawning only its successor, at P = 4:
+/// exactly one task is pending while the other three places idle-check
+/// it.  An idle check that summed the spawned tallies before the finished
+/// ones could see a successor's spawn and its parent's finish between its
+/// passes and stop early, or trip the runner's done <= born assert.
+void check_relay(const std::string& name, std::uint32_t hops) {
+  constexpr std::size_t P = 4;
+  constexpr int k = 8;
+  StatsRegistry stats(P);
+  auto storage = named_storage<SsspTask>(name, P, k, 1, stats, {});
+  auto expand = [&](RunnerHandle<AnyStorage<SsspTask>>& handle,
+                    const SsspTask& t) {
+    if (t.payload + 1 < hops) handle.spawn({t.priority + 1.0, t.payload + 1});
+    return true;
+  };
+  const RunnerResult run =
+      run_relaxed(storage, k, {SsspTask{0.0, 0}}, expand, &stats);
+  if (run.expanded != hops || run.wasted != 0) {
+    std::fprintf(stderr, "relay/%s: expanded=%llu wasted=%llu of %u hops\n",
+                 name.c_str(), static_cast<unsigned long long>(run.expanded),
+                 static_cast<unsigned long long>(run.wasted), hops);
+    assert(false);
+  }
 }
 
 /// Every registered storage (plus the hybrid's acceptance configs) on
@@ -207,6 +238,18 @@ int main() {
     assert(per_pop[0] > 0 && per_pop[1] > 0);
     assert(per_pop[1] <= 2.0 * per_pop[0]);
   }
+
+  // --- Relay termination on every storage.  On failpoints builds half of
+  // all pops are lost, so the place holding the only task also
+  // idle-checks against it.
+  if (fp::enabled()) {
+    const std::string err = fp::apply_spec("runner.pop=fail:p=0.5");
+    assert(err.empty());
+  }
+  for (const std::string_view name : kStorageNames) {
+    check_relay(std::string(name), 100000);
+  }
+  fp::disarm_all();
 
   // --- Branch-and-bound: two seeded instances, DP oracle.
   for (std::uint64_t seed : {3ull, 11ull}) {
