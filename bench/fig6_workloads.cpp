@@ -8,6 +8,8 @@
 // results.  The DES panel additionally reports committed-event timestamp
 // inversions (events committed behind the committed high-water mark —
 // deferred pops do not move it), a storage-independent rank-error proxy.
+// It is the one reader of that probe, so it attaches a DesObs to each
+// run; des_parallel keeps no shared probe state without one.
 //
 // Storage selection is the registry facade: the sweep iterates the
 // registered names (or the single --storage=<name>), so adding a storage
@@ -15,6 +17,8 @@
 //
 //   ./fig6_workloads --workload=des --maxp 8
 //   ./fig6_workloads --workload=all --storage=hybrid --items 26
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -117,9 +121,13 @@ int main(int argc, char** argv) {
     panel<DesTask>(sw, [&](const std::string& name, std::size_t P,
                            AnyStorage<DesTask>& storage,
                            StatsRegistry& stats) {
-      const DesRun run = des_parallel(params, storage, sw.k, &stats);
+      DesObs obs;
+      const DesRun run =
+          des_parallel(params, storage, sw.k, &stats, NoPopHook{}, &obs);
+      // order: relaxed (result read) — at quiescence, workers joined.
+      const std::uint64_t inv = obs.inversions.load(std::memory_order_relaxed);
       emit_row(name, P, run.runner.seconds, run.outcome.events,
-               run.deferred, "inv", run.inversions, run.outcome == oracle);
+               run.deferred, "inv", inv, run.outcome == oracle);
     });
     std::printf("# expect: exact=yes everywhere; wasted (deferred pops) "
                 "and inversions grow with the storage's effective rho\n");

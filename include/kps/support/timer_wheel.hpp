@@ -11,13 +11,20 @@
 // compare per pending far-future timer per revolution).  A jump of a
 // whole revolution or more degenerates to one full-ring sweep.
 //
-// Time here is LOGICAL: the runner drives the wheel with its shared
-// pop-count clock, one tick per claimed pop, which makes every
-// escalation/expiry decision a deterministic function of the pop
-// sequence — at P=1 a seeded run fires exactly the same timers at
-// exactly the same ticks every time (the acceptance criterion for the
-// deadline paths), and at P>1 determinism degrades only as far as the
-// pop interleaving itself.
+// Time here is LOGICAL: the runner drives the wheel with its deadline
+// clock, claimed pops runner-wide, which each place adds to one shared
+// count in blocks of 64 (workloads/runner.hpp).  At P=1 that clock is
+// exact, one tick per claimed pop, so every escalation/expiry decision is
+// a deterministic function of the pop sequence and a seeded run fires
+// exactly the same timers at exactly the same ticks every time (the
+// acceptance criterion for the deadline paths).  At P>1 each place
+// advances the wheel with its own view of the clock, up to a slack of
+// (P-1)*63 pops behind the exact count, so advances arrive out of order
+// across places and one at or behind the wheel's position is a no-op.
+// The runner raises every deadline by that slack: a timer never fires
+// before its delay has passed runner-wide, and fires at most 2 * slack
+// pops late plus skipped advances; determinism degrades only as far as
+// the pop interleaving itself.
 //
 // Deadlines cost nothing until due.  The wheel keeps a lower bound on
 // its earliest armed deadline in an atomic that advance() reads before

@@ -57,8 +57,16 @@
 // and are added up after the workers join, so a commit writes no counter
 // line another place writes.  The sums are mod 2^64 and order-free, so
 // DesOutcome and DesRun::floor_loads are bit-identical to shared
-// counters.  What other places must see stays shared: chain_time, the
-// floor index and the committed-high-water inversion probe.
+// counters.  What other places must see stays shared: chain_time and the
+// floor index.  The committed-high-water inversion probe is no shared
+// state of a run: it lives in an optional DesObs that only a caller
+// which prints it (fig6's A11 `inv` column) attaches; without one a
+// commit pays a single predictable branch for it.
+//
+// Expiry runs on the runner's deadline clock (workloads/runner.hpp): an
+// event expires no earlier than `expire_after` runner-wide claimed pops
+// after its spawn, exactly then at P = 1, and at P > 1 at most
+// 2 * (P - 1)(kClockBlock - 1) pops later plus skipped wheel advances.
 #pragma once
 
 #include <algorithm>
@@ -89,7 +97,8 @@ struct DesParams {
   std::uint64_t seed = 1;
 
   // PR-7 lifecycle: expire any enqueued event that sits unprocessed for
-  // this many logical ticks (runner-wide claimed pops); 0 = never.
+  // this many logical ticks (runner-wide claimed pops; late by at most
+  // the runner clock's bound at P > 1, never early); 0 = never.
   // Requires a storage built with enable_lifecycle.  Expiry is
   // cancel-only — escalation would rewrite an event's timestamp, and the
   // timestamp IS the priority feeding des_transition/des_fingerprint, so
@@ -125,14 +134,36 @@ struct DesOutcome {
 struct DesRun {
   DesOutcome outcome;
   std::uint64_t deferred = 0;    // lazy re-enqueues (wasted pops)
-  std::uint64_t inversions = 0;  // committed events behind the committed
-                                 // high-water timestamp (approximate
-                                 // under commit races) — the A11
-                                 // schedule-quality probe
   std::uint64_t floor_loads = 0;  // chain_time/index loads of the floor
                                   // reads and heals — the A16 per-pop
                                   // floor-cost metric
   RunnerResult runner;
+};
+
+/// Optional commit observer for des_parallel, null by default (header
+/// comment): the A11 schedule-quality probe.  `inversions` counts
+/// committed events behind the committed high-water timestamp,
+/// approximate under commit races.  Every committing place writes both
+/// cells, so a run pays for them only when a caller attaches one.
+struct DesObs {
+  std::atomic<double> committed_high{
+      -std::numeric_limits<double>::infinity()};
+  std::atomic<std::uint64_t> inversions{0};
+
+  /// Only events that actually commit move the high-water mark — a
+  /// deferred far-future pop must not count later in-window commits as
+  /// inversions against it.
+  void commit(double t) {
+    // order: relaxed — the high-water mark is a measurement cell (CAS-
+    // max below); an inversion verdict may lag a racing commit, which is
+    // exactly the approximate-order statistic being measured.
+    if (t < committed_high.load(std::memory_order_relaxed)) {
+      inversions.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
+    } else {
+      // order: relaxed — CAS-max on the measurement cell; see above.
+      cas_max(committed_high, t, std::memory_order_relaxed);
+    }
+  }
 };
 
 namespace detail {
@@ -219,10 +250,12 @@ inline DesOutcome des_sequential(const DesParams& p) {
   return out;
 }
 
-/// `k_policy`: plain int (fixed window) or any RelaxationPolicy.
+/// `k_policy`: plain int (fixed window) or any RelaxationPolicy.  `obs`,
+/// when set, sees every commit (DesObs).
 template <typename Storage, typename KPolicy, typename PopHook = NoPopHook>
 DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
-                    StatsRegistry* stats = nullptr, PopHook&& hook = {}) {
+                    StatsRegistry* stats = nullptr, PopHook&& hook = {},
+                    DesObs* obs = nullptr) {
   static_assert(std::is_same_v<typename Storage::task_type, DesTask>);
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -253,8 +286,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   auto count = [&](std::size_t place, std::size_t s) -> std::uint64_t& {
     return counts[place * count_lines + s / kPerLine].n[s % kPerLine];
   };
-  std::atomic<std::uint64_t> inversions{0};
-  std::atomic<double> committed_high{-kInf};
 
   // chain_time[c] = timestamp of chain c's single live event (+inf once
   // the chain passed the horizon); min over it bounds global virtual
@@ -326,18 +357,7 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
       }
     }
 
-    // Committed-event inversion probe: only events that actually commit
-    // move the high-water mark — a deferred far-future pop must not
-    // count later in-window commits as inversions against it.
-    // order: relaxed — the high-water mark is a measurement cell (CAS-
-    // max below); an inversion verdict may lag a racing commit, which is
-    // exactly the approximate-order statistic being measured.
-    if (t < committed_high.load(std::memory_order_relaxed)) {
-      inversions.fetch_add(1, std::memory_order_relaxed);  // order: relaxed — counter
-    } else {
-      // order: relaxed — CAS-max on the measurement cell; see above.
-      cas_max(committed_high, t, std::memory_order_relaxed);
-    }
+    if (obs) obs->commit(t);
 
     const DesTransition tr = des_transition(p, ev.chain, ev.step, t);
     ++count(place, tr.station);
@@ -368,8 +388,6 @@ DesRun des_parallel(const DesParams& p, Storage& storage, KPolicy k_policy,
   // Every pop commits its event (expanded) or defers it (wasted).
   run.outcome.events = run.runner.expanded;
   run.deferred = run.runner.wasted;
-  // order: relaxed (result read) — at quiescence, workers joined.
-  run.inversions = inversions.load(std::memory_order_relaxed);
   run.outcome.station_counts.assign(stations, 0);
   for (std::size_t place = 0; place < tallies.size(); ++place) {
     run.outcome.checksum += tallies[place].checksum;

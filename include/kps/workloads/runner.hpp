@@ -35,6 +35,20 @@
 // between the passes would balance the sums while the successor is
 // still pending.
 //
+// Deadline clock.  With a timer wheel the runner keeps a logical clock,
+// claimed pops runner-wide, in one shared atomic.  Each place counts its
+// own claimed pops in a residue on its own line and adds them to the
+// shared count in blocks of kClockBlock, so one fetch_add covers 64
+// pops.  A place's now is the shared count plus its own residue: exact
+// at P = 1 (a seeded timer run replays tick for tick), monotone per
+// place, and never more than slack = (P - 1)(kClockBlock - 1) below the
+// runner-wide count, since all it misses are the other places'
+// residues.  RunnerHandle::schedule_* add the slack to every deadline,
+// so no deadline fires before `delay` runner-wide claimed pops have
+// passed.  A deadline is due at most 2 * slack pops late (one slack
+// added at arming, one for the lag of the place that advances the
+// wheel), plus any advances the wheel skipped (a lost try_lock).
+//
 // expand(handle, task) -> bool runs concurrently on every place; `true`
 // means the pop did useful work, `false` means it was wasted (the runner
 // keeps per-place tallies of both — the relaxation-quality panels).  New
@@ -132,6 +146,60 @@ struct TerminationTally {
   }
 };
 
+/// Claimed pops a place counts in its residue before adding them to the
+/// shared clock in one fetch_add.
+inline constexpr std::uint64_t kClockBlock = 64;
+
+/// The runner-wide deadline clock (header comment): the claimed pops the
+/// places have added so far, in blocks of kClockBlock, on a line of its
+/// own.
+struct alignas(kCacheLine) PopClock {
+  explicit PopClock(std::size_t places)
+      : slack((places - 1) * (kClockBlock - 1)) {}
+
+  std::atomic<std::uint64_t> ticks{0};
+  /// The most a place's now() lags the runner-wide count: every other
+  /// place's residue, at most kClockBlock - 1 each.
+  const std::uint64_t slack;
+};
+
+/// One place's share of a PopClock.  Only that place's worker ticks it
+/// or reads it.
+class PlaceClock {
+ public:
+  PlaceClock() = default;
+  explicit PlaceClock(PopClock& clock) : clock_(&clock) {}
+
+  /// Count one claimed pop; every kClockBlock-th adds the block to the
+  /// shared count.  Returns the new now().
+  std::uint64_t tick() {
+    if (++residue_ < kClockBlock) return now();
+    residue_ = 0;
+    // order: relaxed — a monotone counter; wheel entries carry no
+    // payload through it.
+    return clock_->ticks.fetch_add(kClockBlock, std::memory_order_relaxed) +
+           kClockBlock;
+  }
+
+  /// The shared count plus this place's residue: exact at P = 1,
+  /// monotone, and at most `slack` below the runner-wide count.
+  std::uint64_t now() const {
+    // order: relaxed — monotone; a stale read only lags, never leads.
+    return clock_->ticks.load(std::memory_order_relaxed) + residue_;
+  }
+
+  /// The tick a deadline `delay` claimed pops out is armed for: raised
+  /// by the slack, so it cannot come due at any place before `delay`
+  /// runner-wide claimed pops have passed.
+  std::uint64_t deadline(std::uint64_t delay) const {
+    return now() + clock_->slack + delay;
+  }
+
+ private:
+  PopClock* clock_ = nullptr;
+  std::uint64_t residue_ = 0;  // own claimed pops not yet added
+};
+
 /// Per-worker view handed to expand(): the only way a workload spawns
 /// child tasks, so the termination tallies cannot be bypassed.  The
 /// window is read through a reference the runner updates after every
@@ -146,13 +214,13 @@ class RunnerHandle {
   RunnerHandle(Storage& storage, typename Storage::Place& place,
                const int& k, TerminationTally& tally,
                wheel_type* wheel = nullptr,
-               std::atomic<std::uint64_t>* ticks = nullptr)
+               const PlaceClock* clock = nullptr)
       : storage_(&storage),
         place_(&place),
         k_(&k),
         tally_(&tally),
         wheel_(wheel),
-        ticks_(ticks) {}
+        clock_(clock) {}
 
   std::size_t place_index() const { return place_->index; }
 
@@ -198,25 +266,28 @@ class RunnerHandle {
     return out;
   }
 
-  /// Logical now: claimed pops so far, runner-wide.  0 without a wheel.
-  std::uint64_t now() const {
-    // order: relaxed — monotone logical clock; callers only compare.
-    return ticks_ ? ticks_->load(std::memory_order_relaxed) : 0;
-  }
+  /// Logical now: this place's view of the claimed pops so far,
+  /// runner-wide (header comment).  Exact at P = 1; at P > 1 monotone
+  /// and at most (P - 1)(kClockBlock - 1) behind.  0 without a wheel.
+  std::uint64_t now() const { return clock_ ? clock_->now() : 0; }
 
-  /// Arm "expire h after `delay` more claimed pops".  No-op (false) when
-  /// the runner was started without a wheel.
+  /// Arm "expire h after `delay` more claimed pops", runner-wide: never
+  /// earlier, and at P > 1 at most 2 * slack pops later plus any skipped
+  /// wheel advances (header comment).  No-op (false) when the runner was
+  /// started without a wheel.
   bool schedule_cancel(std::uint64_t delay, TaskHandle h) {
     if (!wheel_ || !h.valid()) return false;
-    wheel_->schedule(now() + delay, {TimerAction::cancel, h, {}});
+    wheel_->schedule(clock_->deadline(delay), {TimerAction::cancel, h, {}});
     return true;
   }
 
-  /// Arm "re-push h at `priority` after `delay` more claimed pops".
+  /// Arm "re-push h at `priority` after `delay` more claimed pops", with
+  /// schedule_cancel's bounds.
   bool schedule_escalate(std::uint64_t delay, TaskHandle h,
                          priority_type priority) {
     if (!wheel_ || !h.valid()) return false;
-    wheel_->schedule(now() + delay, {TimerAction::escalate, h, priority});
+    wheel_->schedule(clock_->deadline(delay),
+                     {TimerAction::escalate, h, priority});
     return true;
   }
 
@@ -226,7 +297,7 @@ class RunnerHandle {
   const int* k_;
   TerminationTally* tally_;
   wheel_type* wheel_ = nullptr;
-  std::atomic<std::uint64_t>* ticks_ = nullptr;
+  const PlaceClock* clock_ = nullptr;
 };
 
 /// Default pop hook: observe nothing.
@@ -248,11 +319,15 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   RunnerResult result;
   result.policy_by_place.assign(P, PolicyReport{});
 
-  // Per-place tallies and controller state live on their own cache lines
-  // during the run; each is written only by its own worker.  `term` is
-  // the one field other places read (the idle check).
+  // The deadline clock (header comment); it ticks only with a wheel.
+  PopClock clock(P);
+
+  // Per-place tallies, clock residue and controller state live on their
+  // own cache lines during the run; each is written only by its own
+  // worker.  `term` is the one field other places read (the idle check).
   struct alignas(kCacheLine) Local {
     TerminationTally term;
+    PlaceClock clock;
     std::uint64_t expanded = 0;
     std::uint64_t wasted = 0;
     typename Policy::PlaceState pstate;
@@ -260,6 +335,7 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
   };
   std::vector<Local> locals(P);
   for (std::size_t p = 0; p < P; ++p) {
+    locals[p].clock = PlaceClock(clock);
     locals[p].pstate = policy.make_place_state(p);
     locals[p].current_k = policy.window(locals[p].pstate);
   }
@@ -303,17 +379,11 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
     return done == born;
   };
 
-  // Logical clock for the timer wheel: claimed pops, runner-wide.  At
-  // P = 1 it advances deterministically with the execution order, so
-  // seeded timer tests replay exactly; at P > 1 it is a coherent "work
-  // units consumed" measure independent of wall time.
-  std::atomic<std::uint64_t> ticks{0};
-
   auto worker = [&](std::size_t place_idx) {
     auto& place = storage.place(place_idx);
     Local& local = locals[place_idx];
     RunnerHandle<Storage> handle(storage, place, local.current_k,
-                                 local.term, wheel, &ticks);
+                                 local.term, wheel, &local.clock);
     // Deliver deadline actions against this worker's own place, through
     // the handle's termination tallies; counter credit (timers_fired + the
     // cancel/reap counters inside the storage) lands on the advancing
@@ -363,11 +433,7 @@ RunnerResult run_relaxed(Storage& storage, const Policy& policy,
       idle.reset();
 
       if (wheel) {
-        // order: relaxed — the pop clock is a monotone counter; wheel
-        // entries carry no payload through it.
-        const std::uint64_t now =
-            ticks.fetch_add(1, std::memory_order_relaxed) + 1;
-        const std::size_t fired = wheel->advance(now, fire);
+        const std::size_t fired = wheel->advance(local.clock.tick(), fire);
         if (fired && stats) {
           stats->place(place_idx).inc(Counter::timers_fired, fired);
         }

@@ -20,12 +20,14 @@
 //     actually cancels something.
 //   * Timer wheel: unit-level slot/overflow semantics, the
 //     earliest-deadline peek (same ticks, same order), a P = 4
-//     shared-clock case (each deadline fires once, never early), then
-//     end-to-end —
+//     shared-clock case (each deadline fires once, never early), the
+//     runner's block clock driven from one thread (every place's now
+//     within the slack of the exact count; deadlines never early, at
+//     most 2 * slack late), then end-to-end —
 //     DES with expiry armed is deterministic across identical seeded
 //     runs, a never-firing deadline reproduces the sequential oracle
 //     bit-for-bit, and a tight deadline expires events while keeping the
-//     conservation ledger balanced.
+//     conservation ledger balanced, at P = 1 and at P > 1.
 //   * Every exit releases its capacity slot: after pops and reaps drain a
 //     full storage, a second full round is admitted without a refusal.
 //   * Failpoint schedules over the new seams (lifecycle.cancel,
@@ -621,6 +623,55 @@ void test_timer_wheel_concurrent() {
               kThreads, kTotal);
 }
 
+// (5) The runner's deadline clock (workloads/runner.hpp), no threads:
+// P places ticked from one thread in a seeded random order.  Each tick
+// advances one wheel with the ticking place's now, as the runner's pop
+// loop does, and now and then a random place arms a deadline.  After
+// every tick each place's now lies in [exact - slack, exact], and with
+// no advance skipped a deadline fires at an exact count in
+// [armed_at + delay, armed_at + delay + 2 * slack].  At P = 1 the slack
+// is 0, so every now is exact.
+void test_pop_clock_bounds() {
+  constexpr std::uint32_t kArmTicks = 20000;
+  for (const std::size_t P : {std::size_t{1}, std::size_t{4}}) {
+    PopClock clock(P);
+    assert(clock.slack == (P - 1) * (kClockBlock - 1));
+    std::vector<PlaceClock> places(P, PlaceClock(clock));
+    struct Armed {
+      std::uint64_t at;
+      std::uint64_t delay;
+      std::uint64_t fired_at;
+    };
+    std::vector<Armed> armed;
+    TimerWheel<std::uint32_t> wheel;
+    std::uint64_t exact = 0;
+    auto fire = [&](std::uint64_t /*when*/, std::uint32_t id) {
+      Armed& a = armed[id];
+      assert(a.fired_at == 0);
+      assert(exact >= a.at + a.delay);
+      assert(exact <= a.at + a.delay + 2 * clock.slack);
+      a.fired_at = exact;
+    };
+    Xoshiro256 rng(29 + P);
+    while (exact < kArmTicks || wheel.armed() > 0) {
+      ++exact;
+      (void)wheel.advance(places[rng.next_bounded(P)].tick(), fire);
+      for (const PlaceClock& c : places) {
+        assert(c.now() <= exact && exact <= c.now() + clock.slack);
+      }
+      if (exact < kArmTicks && rng.next_bounded(4) == 0) {
+        const std::uint64_t delay = 1 + rng.next_bounded(512);
+        const auto id = static_cast<std::uint32_t>(armed.size());
+        armed.push_back({exact, delay, 0});
+        wheel.schedule(places[rng.next_bounded(P)].deadline(delay), id);
+      }
+    }
+    for (const Armed& a : armed) assert(a.fired_at != 0);
+  }
+  std::printf("  block clock: now within the slack at P=1 and P=4, "
+              "deadlines never early, at most 2 * slack late\n");
+}
+
 DesRun run_des_expiry(const DesParams& p, const std::string& name,
                       std::size_t P, StatsRegistry& stats) {
   StorageConfig cfg;
@@ -671,8 +722,13 @@ void test_des_expiry() {
          t1.get(Counter::tasks_executed) + t1.get(Counter::tasks_shed) +
              t1.get(Counter::tasks_cancelled));
 
-  // Multi-place termination with expiry armed, conservation only (the
-  // schedule itself is nondeterministic at P > 1).
+  // Multi-place termination with expiry armed; the schedule itself is
+  // nondeterministic at P > 1.  Deadlines there come due up to
+  // 2 * slack = 378 pops late, so the run needs far more chains than
+  // that: every seed sits below the first successor's timestamp, and
+  // the successors of the first seeds popped wait for the remaining
+  // ~1000 seeds, past even the latest fire of their deadlines.
+  p.chains = 1024;
   p.expire_after = 5;
   for (const char* name : {"centralized", "hybrid"}) {
     StatsRegistry stats(4);
@@ -682,9 +738,11 @@ void test_des_expiry() {
     assert(tt.get(Counter::tasks_spawned) ==
            tt.get(Counter::tasks_executed) + tt.get(Counter::tasks_shed) +
                tt.get(Counter::tasks_cancelled));
+    assert(tt.get(Counter::tasks_cancelled) > 0);
+    assert(tt.get(Counter::timers_fired) > 0);
   }
   std::printf("  DES expiry: oracle-exact when idle, deterministic at "
-              "P=1, ledger balanced at P=4\n");
+              "P=1, expiring with the ledger balanced at P=4\n");
 }
 
 // --------------------------------------- failpoints over the new seams
@@ -725,11 +783,13 @@ void test_lifecycle_failpoints() {
   assert(cancel_fired > 0 && "cancel seam armed but never exercised");
 
   // DES with expiry + the timer seam: deferred fires still terminate and
-  // still balance the ledger.
+  // still balance the ledger.  At P = 2 deadlines come due up to
+  // 2 * slack = 126 pops late, so, as in test_des_expiry's P = 4 case,
+  // the chains outnumber that and events still expire.
   assert(fp::apply_spec(kLifecycleSpec).empty());
   DesParams p;
   p.stations = 8;
-  p.chains = 24;
+  p.chains = 256;
   p.horizon = 8.0;
   p.window = -1;
   p.seed = 31;
@@ -742,6 +802,8 @@ void test_lifecycle_failpoints() {
   assert(tt.get(Counter::tasks_spawned) ==
          tt.get(Counter::tasks_executed) + tt.get(Counter::tasks_shed) +
              tt.get(Counter::tasks_cancelled));
+  assert(tt.get(Counter::tasks_cancelled) > 0);
+  assert(tt.get(Counter::timers_fired) > 0);
   std::printf("  lifecycle seams armed: conservation + DES expiry hold "
               "(%llu refused cancels)\n",
               static_cast<unsigned long long>(cancel_fired));
@@ -819,6 +881,7 @@ int main() {
   test_timer_wheel_unit();
   test_timer_wheel_peek();
   test_timer_wheel_concurrent();
+  test_pop_clock_bounds();
   test_des_expiry();
   test_lifecycle_failpoints();
   test_detach_race();

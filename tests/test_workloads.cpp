@@ -7,10 +7,13 @@
 // registry facade — the checks iterate kStorageNames, so a storage added
 // to the registry is swept here automatically.  The DES virtual-time
 // floor must also cost the same loads per pop at 1024 and 16384 chains
-// (A16).  A relay, in which each task spawns only its successor, checks
-// the runner's termination tallies while one task is pending and the
-// other places idle-check.  The deterministic unit check of the
-// segment-store spill lives in test_mailbox (fold unit).
+// (A16).  The optional DES commit observer (fig6's inversion column)
+// counts no inversion under the strict storage at P = 1, some under the
+// LIFO pool, and changes no outcome.  A relay, in which each task spawns
+// only its successor, checks the runner's termination tallies while one
+// task is pending and the other places idle-check.  The deterministic
+// unit check of the segment-store spill lives in test_mailbox (fold
+// unit).
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -71,6 +74,25 @@ DesRun check_des(const std::string& label, const std::string& name,
   assert(hook_pops.load(std::memory_order_relaxed) ==
          run.runner.expanded + run.runner.wasted);
   return run;
+}
+
+/// P = 1 DES run with a DesObs attached: its inversion count, after
+/// checking that the same run without the observer commits the identical
+/// outcome.
+std::uint64_t des_inversions(const std::string& name,
+                             const DesParams& params) {
+  DesOutcome outcome[2];
+  DesObs obs;
+  for (const bool attach : {false, true}) {
+    StatsRegistry stats(1);
+    auto storage = named_storage<DesTask>(name, 1, 64, params.seed, stats, {});
+    outcome[attach] = des_parallel(params, storage, 64, &stats, NoPopHook{},
+                                   attach ? &obs : nullptr)
+                          .outcome;
+  }
+  assert(outcome[0] == outcome[1]);
+  // order: relaxed (result read) — one place, the run has returned.
+  return obs.inversions.load(std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------------- BnB
@@ -211,6 +233,18 @@ int main() {
         check_des(std::string(name) + "/defer", name, params, oracle, P, k);
       }
     }
+  }
+
+  // --- DES inversion observer at P = 1: the strict storage commits in
+  // timestamp order, the LIFO pool out of it.
+  {
+    DesParams params;
+    params.stations = 16;
+    params.chains = 48;
+    params.horizon = 20.0;
+    params.seed = 7;
+    assert(des_inversions("global_pq", params) == 0);
+    assert(des_inversions("ws_deque", params) > 0);
   }
 
   // --- DES floor cost (A16): the virtual-time floor is one min-index
