@@ -63,7 +63,9 @@
 // handle issued at wrap time stays redeemable across the tier change.
 //
 // Relaxation guarantee: only window tasks can be bypassed, so a pop's rank
-// error is bounded by k regardless of P (ablation A1 measures this).
+// error is bounded by k regardless of P.  Only a pop that races other
+// operations can bypass any: at quiescence the descent lands on the
+// window's best, so ablation A1, which runs whole operations, reads 0.
 #pragma once
 
 #include <algorithm>
@@ -104,7 +106,6 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
 
   struct alignas(kCacheLine) Place : detail::PlaceBase {
     Xoshiro256 rng;
-    std::uint64_t rank_probe_tick = 0;  // pops since the last rank probe
   };
 
   CentralizedKpq(std::size_t places, StorageConfig cfg,
@@ -239,15 +240,6 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
           this->reaped(p);
           attempt = -1;
           continue;
-        }
-        // Sampled rank-error probe (PR 8): every rank_probe-th successful
-        // window claim measures how many published tasks strictly beat
-        // the one we took — A1's aggregate ratio as a live distribution.
-        if (this->cfg_.rank_probe > 0 &&
-            ++p.rank_probe_tick >=
-                static_cast<std::uint64_t>(this->cfg_.rank_probe)) {
-          p.rank_probe_tick = 0;
-          probe_rank(p, static_cast<double>(out->priority));
         }
         return this->deliver(p, std::move(*out));
       }
@@ -459,21 +451,6 @@ class CentralizedKpq : public StorageBase<CentralizedKpq<TaskT>, TaskT> {
         kEmptySlot) {
       word.fetch_or(bit, std::memory_order_release);
     }
-  }
-
-  /// Window-visible rank error of a just-claimed task: full window slots
-  /// whose key strictly beats it.  Tombstoned entries are counted as
-  /// published (checking liveness would race the canceller for no
-  /// measurement gain); with lifecycle off — the A1 configuration — the
-  /// count is exact for the window tier.
-  void probe_rank(Place& p, double claimed) {
-    std::uint64_t rank = 0;
-    for (std::size_t w = 0; w < summary_.size(); ++w) {
-      for_each_occupied(w, [&](std::size_t idx, std::uint64_t word) {
-        if ((word & kStateMask) == kFull && key_of(idx) < claimed) ++rank;
-      });
-    }
-    this->cfg_.rank_error->record(p.index, rank);
   }
 
   std::size_t window_size(int k) const {

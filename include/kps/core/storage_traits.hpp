@@ -79,7 +79,7 @@ struct StorageConfig {
   // (bench_baseline's tombstone_overhead row holds this under 5%).
   bool enable_lifecycle = false;
 
-  // Telemetry (PR 8).  All three observers are optional, NON-OWNING and
+  // Telemetry.  Both observers are optional, NON-OWNING and
   // must outlive the storage.  Null (the default) keeps every hot path
   // at one predictable branch per emit site.
   //
@@ -92,13 +92,6 @@ struct StorageConfig {
   // travels in the LifecycleNode.  Each thread stamps 1 in
   // detail::kDelaySample of its wraps (core/lifecycle.hpp).
   Histogram* queue_delay = nullptr;
-  // rank_error + rank_probe (ablation A1 as a live distribution): every
-  // rank_probe-th successful pop per place measures its window-visible
-  // rank error (occupied slots strictly better than the claimed task)
-  // into rank_error.  0 = off.  Implemented by the centralized storage;
-  // others ignore the probe (their rank story is the A1 oracle's).
-  Histogram* rank_error = nullptr;
-  int rank_probe = 0;
 
   /// Fail-fast validation, run by every storage constructor (and by the
   /// registry before it even picks a storage): returns an empty string
@@ -121,14 +114,6 @@ struct StorageConfig {
     if (publish_batch < 0) {
       return "publish_batch must be >= 0, got " +
              std::to_string(publish_batch);
-    }
-    if (rank_probe < 0) {
-      return "rank_probe must be >= 0 (0 disables), got " +
-             std::to_string(rank_probe);
-    }
-    if (rank_probe > 0 && rank_error == nullptr) {
-      return "rank_probe is set but rank_error has no histogram to "
-             "record into";
     }
     if (queue_delay != nullptr && !enable_lifecycle) {
       return "queue_delay needs enable_lifecycle (the spawn timestamp "

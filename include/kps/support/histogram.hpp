@@ -1,4 +1,4 @@
-// Log-bucketed HDR-style latency/rank histogram (PR 8 telemetry layer).
+// Log-bucketed HDR-style latency histogram (telemetry layer).
 //
 // Recording follows the StatsRegistry idiom: every place owns a
 // cache-line-aligned block of relaxed atomic buckets that no other place

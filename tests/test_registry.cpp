@@ -14,7 +14,13 @@
 //     hybrid, ws_priority and multiqueue pop in exactly the order of a
 //     sequential DaryHeap over one seeded stream of pushes, pops, cancels
 //     and reprioritizes — through the hybrid's mail, fold, full-ring
-//     fallback and segment spill paths.
+//     fallback and segment spill paths;
+//   * at P = 4, with one thread routing that stream to seeded-random
+//     places, global_pq, centralized and hybrid still match it exactly:
+//     whole operations leave no race, the centralized min-index descent
+//     lands on the window's best, and every hybrid advert covers its
+//     place's whole store (ws_priority and multiqueue are relaxed at any
+//     P > 1).
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -138,34 +144,40 @@ void test_config_validation() {
               "everywhere\n");
 }
 
-// ------------------------------------------------- P = 1 exact order
+// ------------------------------------------------------ exact order
 // At P = 1 every storage below sees its whole content at each pop: the
 // hybrid folds its own mail first and claims the best of private heap,
 // segment heads and cold heap; ws_priority has one heap; the centralized
 // window is one slot at k = 1; the multiqueue compares both its queues'
 // tops, and after reaping a tombstone claims the next task only while it
-// still beats the other queue's top.
+// still beats the other queue's top.  At P = 4 a hybrid pop sweeps every
+// peer's advert, and a spy that reaps a tombstone sweeps again.
 
 struct OrderRow {
   const char* name;
+  std::size_t places;
   int k;
   int publish_batch;
 };
 
 /// Drive `row` and a sequential DaryHeap reference with one seeded
-/// stream of pushes, pops, cancels and reprioritizes and assert every
-/// pop matches; returns the storage's counters.
-/// Bursts of pushes with no pop between them overflow the hybrid's
-/// 64-run ring and its 64-segment store.
+/// stream of pushes, pops, cancels and reprioritizes, each at a place
+/// drawn from a second seeded stream, and assert every pop matches;
+/// returns the storage's counters.  Bursts of pushes with no pop between
+/// them overflow the hybrid's 64-run ring and its 64-segment store.
 PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
   StorageConfig cfg;
   cfg.k_max = row.k;
   cfg.default_k = row.k;
   cfg.publish_batch = row.publish_batch;
   cfg.enable_lifecycle = true;
-  StatsRegistry stats(1);
-  AnyStorage<SsspTask> s = make_storage<SsspTask>(row.name, 1, cfg, &stats);
-  auto& place = s.place(0);
+  StatsRegistry stats(row.places);
+  AnyStorage<SsspTask> s =
+      make_storage<SsspTask>(row.name, row.places, cfg, &stats);
+  Xoshiro256 route(99);
+  const auto place = [&]() -> auto& {
+    return s.place(route.next_bounded(row.places));
+  };
 
   // Reference with lazy deletion: an entry is current iff its priority is
   // still its id's live priority (-1 once the id left the storage).
@@ -192,7 +204,7 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
   const auto push = [&] {
     const auto id = static_cast<std::uint32_t>(prio.size());
     const double p = fresh_prio();
-    const auto out = s.try_push(place, row.k, {p, id});
+    const auto out = s.try_push(place(), row.k, {p, id});
     assert(out.accepted && out.handle.valid());
     prio.push_back(p);
     handle.push_back(out.handle);
@@ -206,16 +218,17 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
       const SsspTask t = ref.pop();
       if (prio[t.payload] == t.priority) want = t;
     }
-    const std::optional<SsspTask> got = s.pop(place);
+    const std::optional<SsspTask> got = s.pop(place());
     if (got.has_value() != want.has_value() ||
         (got && (got->priority != want->priority ||
                  got->payload != want->payload))) {
-      std::fprintf(stderr, "%s k=%d batch=%d: pop %llu got %s, want %s\n",
-                   row.name, row.k, row.publish_batch,
+      std::fprintf(stderr,
+                   "%s P=%zu k=%d batch=%d: pop %llu got %s, want %s\n",
+                   row.name, row.places, row.k, row.publish_batch,
                    static_cast<unsigned long long>(*pops),
                    got ? std::to_string(got->payload).c_str() : "nothing",
                    want ? std::to_string(want->payload).c_str() : "nothing");
-      assert(false && "P = 1 pop order differs from the reference");
+      assert(false && "pop order differs from the reference");
     }
     if (got) {
       leave(got->payload);
@@ -244,12 +257,12 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
         pop();
       } else if (op < 93) {
         const std::uint32_t id = live[rng.next_bounded(live.size())];
-        assert(s.cancel(place, handle[id]));
+        assert(s.cancel(place(), handle[id]));
         leave(id);
       } else {
         const std::uint32_t id = live[rng.next_bounded(live.size())];
         const double p = fresh_prio();
-        const auto re = s.reprioritize(place, handle[id], p);
+        const auto re = s.reprioritize(place(), handle[id], p);
         assert(re.detached && re.requeue.accepted);
         handle[id] = re.requeue.handle;
         prio[id] = p;
@@ -261,10 +274,14 @@ PlaceStats check_exact_order(const OrderRow& row, std::uint64_t* pops) {
   return stats.total();
 }
 
-void test_p1_exact_order() {
+void test_exact_order() {
   const OrderRow rows[] = {
-      {"global_pq", 64, 64}, {"centralized", 1, 64}, {"hybrid", 4, 1},
-      {"hybrid", 16, 64},    {"ws_priority", 64, 64}, {"multiqueue", 64, 64},
+      {"global_pq", 1, 64, 64},   {"centralized", 1, 1, 64},
+      {"hybrid", 1, 4, 1},        {"hybrid", 1, 16, 64},
+      {"ws_priority", 1, 64, 64}, {"multiqueue", 1, 64, 64},
+      {"global_pq", 4, 64, 64},   {"centralized", 4, 1, 64},
+      {"centralized", 4, 64, 64}, {"hybrid", 4, 4, 1},
+      {"hybrid", 4, 16, 64},
   };
   std::uint64_t fallbacks = 0;
   for (const OrderRow& row : rows) {
@@ -274,9 +291,9 @@ void test_p1_exact_order() {
       assert(st.get(Counter::segment_spills) > 0);
       fallbacks += st.get(Counter::inbox_full_fallbacks);
     }
-    std::printf("  P = 1 exact order: %-11s k=%-2d batch=%-2d %llu pops, "
+    std::printf("  exact order: %-11s P=%zu k=%-2d batch=%-2d %llu pops, "
                 "%llu spills, %llu full-ring fallbacks\n",
-                row.name, row.k, row.publish_batch,
+                row.name, row.places, row.k, row.publish_batch,
                 static_cast<unsigned long long>(pops),
                 static_cast<unsigned long long>(
                     st.get(Counter::segment_spills)),
@@ -292,7 +309,7 @@ int main() {
   test_every_name_runs_sssp();
   test_unknown_name_rejected();
   test_config_validation();
-  test_p1_exact_order();
+  test_exact_order();
   std::printf("test_registry: OK\n");
   return 0;
 }
